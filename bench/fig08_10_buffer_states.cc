@@ -23,7 +23,7 @@ constexpr double kRate = 90'000;  // filling-phase rate the states assume
 constexpr int kLayers = 5;
 const AimdModel kModel{10'000.0, 20'000.0};
 
-void print_states(const char* title, const std::vector<BufferState>& states,
+void print_states(const char* title, std::span<const BufferState> states,
                   bool adjusted) {
   bench::banner(title);
   std::vector<std::string> headers = {"scenario", "k", "total_B"};
@@ -51,7 +51,7 @@ int main() {
   // Fig 8: raw distributions grouped by k (natural order).
   {
     StateSequence seq(kRate, kLayers, kModel, 5, /*monotone=*/false);
-    auto states = seq.states();
+    std::vector<BufferState> states(seq.states().begin(), seq.states().end());
     std::sort(states.begin(), states.end(),
               [](const BufferState& a, const BufferState& b) {
                 if (a.k != b.k) return a.k < b.k;

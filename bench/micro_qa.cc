@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: the closed-form
 // buffer math, the per-packet filling decision, the periodic drain plan,
-// the state-sequence construction, and the raw simulator event loop.
+// the state-sequence construction, the trajectory lookup, trace-driven
+// sessions, and the raw simulator event loop.
 // These quantify that the per-packet QA decision is cheap enough for a
 // server handling many thousands of packets per second per stream.
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include "sim/scheduler.h"
 #include "tracedrive/bandwidth_trace.h"
 #include "util/event.h"
+#include "util/rng.h"
 
 namespace qa::core {
 namespace {
@@ -162,6 +164,43 @@ void BM_TraceDrivenSecond(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceDrivenSecond);
+
+void BM_TraceDriven600s(benchmark::State& state) {
+  // A whole 600 s session with random backoffs (186 of them, reported as
+  // the `backoffs` counter): long enough that a per-step trajectory lookup
+  // linear in the backoffs passed so far would dominate the session.
+  Rng rng(1);
+  const auto traj = tracedrive::random_backoff_trajectory(
+      20'000, 8'000, 70'000, 600.0, 5.0, rng);
+  AdapterConfig cfg;
+  cfg.consumption_rate = 10'000;
+  cfg.max_layers = 8;
+  cfg.kmax = 2;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tracedrive::run_trace(traj, cfg, 600.0));
+  }
+  state.counters["backoffs"] =
+      static_cast<double>(traj.backoff_times().size());
+}
+BENCHMARK(BM_TraceDriven600s)->Unit(benchmark::kMillisecond);
+
+void BM_RateAt(benchmark::State& state) {
+  // Trajectory lookup cost against the number of backoffs B: the queries
+  // sweep the whole trajectory, so late times pass all B backoffs.
+  const auto n_backoffs = static_cast<int>(state.range(0));
+  AimdTrajectory traj(20'000, 8'000);
+  traj.set_rate_cap(70'000);
+  for (int i = 1; i <= n_backoffs; ++i) traj.add_backoff(2.0 * i);
+  const double span = 2.0 * (n_backoffs + 1);
+  double t = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(traj.rate_at(t));
+    t += 0.37;
+    if (t >= span) t -= span;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RateAt)->Arg(10)->Arg(100)->Arg(1000);
 
 // Sensitivity: drain planning period length (DESIGN.md §7).
 void BM_DrainPlanPeriodSweep(benchmark::State& state) {

@@ -28,12 +28,20 @@ bool should_add_layer(const std::vector<double>& layer_buf, int active_layers,
   // the add. Crediting cancels out of every top-suffix sum, so the check
   // reduces to suffix domination of the EXISTING layers' buffers over the
   // enlarged configuration's targets for those layers.
-  const int n_new = active_layers + 1;
-  const StateSequence seq(rate, n_new, model, cfg.kmax, cfg.monotone);
-  for (const BufferState& st : seq.states()) {
-    if (!StateSequence::suffix_dominates(layer_buf, st.raw_targets,
-                                         active_layers)) {
-      return false;
+  //
+  // The states are those of StateSequence(rate, n_new, ...). The check
+  // reads only their raw targets and its outcome does not depend on their
+  // order, so they are read straight from the target table.
+  QA_CHECK(cfg.kmax >= 1);
+  QA_CHECK(static_cast<int>(layer_buf.size()) >= active_layers);
+  const TargetTable targets(rate, active_layers + 1, model);
+  for (const Scenario s : {Scenario::kClustered, Scenario::kSpread}) {
+    for (int k = 1; k <= cfg.kmax; ++k) {
+      if (!StateSequence::is_state(targets, s, k)) continue;
+      const int short_from = StateSequence::short_suffix(
+          layer_buf, active_layers,
+          [&](int i) { return targets.share(s, k, i); });
+      if (short_from >= 0) return false;
     }
   }
   return true;

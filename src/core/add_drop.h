@@ -21,7 +21,6 @@ namespace qa::core {
 struct AddDropConfig {
   int kmax = 2;            // smoothing factor Kmax (>= 1)
   int max_layers = 10;     // layers available in the encoded stream
-  bool monotone = true;    // fig-10 constraint when evaluating add targets
 };
 
 // Smoothed add decision (§3.1): true when a new layer should be added now.

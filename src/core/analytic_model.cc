@@ -15,26 +15,30 @@ AimdTrajectory::AimdTrajectory(double initial_rate, double slope)
 void AimdTrajectory::add_backoff(double t_sec) {
   QA_CHECK(backoffs_.empty() || t_sec > backoffs_.back());
   backoffs_.push_back(t_sec);
+  post_rates_.push_back(post_rate(backoffs_.size() - 1));
 }
 
 void AimdTrajectory::set_rate_cap(double cap) {
   QA_CHECK(cap >= 0);
   cap_ = cap;
+  for (size_t i = 0; i < backoffs_.size(); ++i) post_rates_[i] = post_rate(i);
+}
+
+double AimdTrajectory::grow(double rate, double dt) const {
+  const double r = rate + slope_ * dt;
+  return cap_ > 0 ? std::min(r, cap_) : r;
+}
+
+double AimdTrajectory::post_rate(size_t i) const {
+  const double t_prev = i == 0 ? 0.0 : backoffs_[i - 1];
+  const double r_prev = i == 0 ? initial_rate_ : post_rates_[i - 1];
+  return grow(r_prev, backoffs_[i] - t_prev) / 2.0;
 }
 
 double AimdTrajectory::rate_at(double t_sec) const {
-  double rate = initial_rate_;
-  double t_prev = 0;
-  const auto clamp = [this](double r) {
-    return cap_ > 0 ? std::min(r, cap_) : r;
-  };
-  for (double tb : backoffs_) {
-    if (tb > t_sec) break;
-    rate = clamp(rate + slope_ * (tb - t_prev));
-    rate /= 2.0;
-    t_prev = tb;
-  }
-  return clamp(rate + slope_ * (t_sec - t_prev));
+  const auto passed = static_cast<size_t>(backoffs_before(t_sec));
+  if (passed == 0) return grow(initial_rate_, t_sec);
+  return grow(post_rates_[passed - 1], t_sec - backoffs_[passed - 1]);
 }
 
 int AimdTrajectory::backoffs_before(double t_sec) const {

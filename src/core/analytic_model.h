@@ -5,8 +5,17 @@
 // of any packet network: rate rises linearly at slope S and halves at each
 // backoff instant, optionally capped by a link bandwidth (in which case the
 // sawtooth of fig 1 emerges by inserting a backoff at every cap crossing).
+//
+// Lookup cost: rate_at is O(log B) in the number of backoffs B — a binary
+// search plus one multiply-add. The trajectory stores, for every backoff,
+// the rate just after it (invariant: post_rates_[i] is the rate the linear
+// recurrence "grow from the previous backoff, clamp at the cap, halve"
+// yields at backoffs_[i]). add_backoff extends that table with the same
+// recurrence and set_rate_cap rebuilds it, so every query returns exactly
+// the value a walk over all earlier backoffs would.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "core/buffer_math.h"
@@ -23,9 +32,12 @@ class AimdTrajectory {
   void add_backoff(double t_sec);
 
   // Caps the linear growth (e.g. at a link bandwidth). 0 = uncapped.
+  // May be called after backoffs were added; the post-backoff rates are
+  // recomputed under the new cap.
   void set_rate_cap(double cap);
 
   // Instantaneous rate at time t (piecewise linear, halving at backoffs).
+  // A backoff at exactly `t_sec` has already happened. O(log B).
   double rate_at(double t_sec) const;
 
   // Backoffs at or before `t_sec` (count), for scenario bookkeeping.
@@ -44,8 +56,14 @@ class AimdTrajectory {
  private:
   double initial_rate_;
   double slope_;
+  // Linear growth from `rate` over `dt` seconds, clamped at the cap.
+  double grow(double rate, double dt) const;
+  // Rate just after backoff `i`, from the rate just after backoff i-1.
+  double post_rate(std::size_t i) const;
+
   double cap_ = 0;
-  std::vector<double> backoffs_;  // ascending
+  std::vector<double> backoffs_;   // ascending
+  std::vector<double> post_rates_;  // rate just after each backoff
 };
 
 // --- Farm-load quality prediction (admission control's analytic hook). ----

@@ -50,55 +50,70 @@ int min_backoffs_to_drain(double rate, int active_layers,
   return 64;
 }
 
+TargetTable::TargetTable(double rate, int active_layers,
+                         const AimdModel& model)
+    : rate_(rate),
+      active_layers_(active_layers),
+      model_(model),
+      consumption_(static_cast<double>(active_layers) *
+                   model.consumption_rate),
+      k1_(min_backoffs_to_drain(rate, active_layers, model.consumption_rate)),
+      spread_height_(consumption_ - rate / std::exp2(k1_)) {}
+
+double TargetTable::height(Scenario scenario, int k) const {
+  QA_CHECK(k >= 0);
+  if (k == 0) return 0;
+  if (scenario == Scenario::kClustered) {
+    return consumption_ - rate_ / std::exp2(k);
+  }
+  if (k < k1_) return 0;  // not enough backoffs to enter a draining phase
+  return spread_height_;
+}
+
+double TargetTable::total(Scenario scenario, int k) const {
+  if (k <= 0) return 0;
+  if (scenario == Scenario::kClustered) {
+    return triangle_area(height(scenario, k), model_.slope);
+  }
+  if (k < k1_) return 0;
+  // Each spread backoff halves the rate right when it has recovered to the
+  // consumption rate, adding a triangle of height n_a*C/2 (fig 14).
+  const double spread = triangle_area(consumption_ / 2.0, model_.slope);
+  return triangle_area(spread_height_, model_.slope) +
+         static_cast<double>(k - k1_) * spread;
+}
+
+double TargetTable::share(Scenario scenario, int k, int layer) const {
+  QA_CHECK(layer >= 0 && layer < active_layers_);
+  if (k <= 0) return 0;
+  const double c = model_.consumption_rate;
+  if (scenario == Scenario::kClustered) {
+    return band_share(height(scenario, k), layer, c, model_.slope);
+  }
+  if (k < k1_) return 0;
+  const double spread = band_share(consumption_ / 2.0, layer, c, model_.slope);
+  return band_share(spread_height_, layer, c, model_.slope) +
+         static_cast<double>(k - k1_) * spread;
+}
+
 double deficit_height(Scenario scenario, int k, double rate,
                       int active_layers, const AimdModel& model) {
   QA_CHECK(k >= 0);
   if (k == 0) return 0;
-  const double consumption =
-      static_cast<double>(active_layers) * model.consumption_rate;
-  if (scenario == Scenario::kClustered) {
-    return consumption - rate / std::exp2(k);
-  }
-  const int k1 = min_backoffs_to_drain(rate, active_layers,
-                                       model.consumption_rate);
-  if (k < k1) return 0;  // not enough backoffs to enter a draining phase
-  return consumption - rate / std::exp2(k1);
+  return TargetTable(rate, active_layers, model).height(scenario, k);
 }
 
 double total_buf_required(Scenario scenario, int k, double rate,
                           int active_layers, const AimdModel& model) {
   if (k <= 0) return 0;
-  const double consumption =
-      static_cast<double>(active_layers) * model.consumption_rate;
-  const double first = triangle_area(
-      deficit_height(scenario, k, rate, active_layers, model), model.slope);
-  if (scenario == Scenario::kClustered) return first;
-  const int k1 =
-      min_backoffs_to_drain(rate, active_layers, model.consumption_rate);
-  if (k < k1) return 0;
-  // Each spread backoff halves the rate right when it has recovered to the
-  // consumption rate, adding a triangle of height n_a*C/2 (fig 14).
-  const double spread = triangle_area(consumption / 2.0, model.slope);
-  return first + static_cast<double>(k - k1) * spread;
+  return TargetTable(rate, active_layers, model).total(scenario, k);
 }
 
 double layer_buf_required(Scenario scenario, int k, int layer, double rate,
                           int active_layers, const AimdModel& model) {
   QA_CHECK(layer >= 0 && layer < active_layers);
   if (k <= 0) return 0;
-  const double consumption =
-      static_cast<double>(active_layers) * model.consumption_rate;
-  const double h =
-      deficit_height(scenario, k, rate, active_layers, model);
-  const double first =
-      band_share(h, layer, model.consumption_rate, model.slope);
-  if (scenario == Scenario::kClustered) return first;
-  const int k1 =
-      min_backoffs_to_drain(rate, active_layers, model.consumption_rate);
-  if (k < k1) return 0;
-  const double spread = band_share(consumption / 2.0, layer,
-                                   model.consumption_rate, model.slope);
-  return first + static_cast<double>(k - k1) * spread;
+  return TargetTable(rate, active_layers, model).share(scenario, k, layer);
 }
 
 int layers_to_keep(double rate_post_backoff, int active_layers,

@@ -64,6 +64,39 @@ int buffering_layers(double height, double consumption_rate);
 int min_backoffs_to_drain(double rate, int active_layers,
                           double consumption_rate);
 
+// The §4.1 buffer targets of one decision: every (scenario, k) total and
+// per-layer share at a fixed rate, layer count and model. The consumption
+// n_a*C, k1 and the scenario-2 first-triangle height are computed once, at
+// construction; a per-layer share is then one band_share (two for
+// scenario 2). The free functions below, the filling walk, the state
+// sequence and the add gate all read their targets from this table, so the
+// formulas have one home. Values are bit-identical to evaluating each
+// target from scratch: the hoisted quantities are the same expressions on
+// the same inputs.
+class TargetTable {
+ public:
+  TargetTable(double rate, int active_layers, const AimdModel& model);
+
+  // k1: the fewest clustered backoffs that start a draining phase.
+  int k1() const { return k1_; }
+
+  // Initial shortfall (triangle height) for `k` backoffs under `scenario`.
+  // For scenario 2 this is the height of the *first* triangle.
+  double height(Scenario scenario, int k) const;
+  // TotalBufRequired (§4.1) for `k` backoffs under `scenario`.
+  double total(Scenario scenario, int k) const;
+  // BufRequired (§4.1): `layer`'s band of the same deficit.
+  double share(Scenario scenario, int k, int layer) const;
+
+ private:
+  double rate_;
+  int active_layers_;
+  AimdModel model_;
+  double consumption_;     // n_a*C
+  int k1_;
+  double spread_height_;   // scenario 2's first triangle, for any k >= k1
+};
+
 // Initial shortfall (triangle height) for `k` backoffs under `scenario`
 // starting from transmission rate `rate` with `active_layers` layers.
 // For scenario 2 this is the height of the *first* triangle.

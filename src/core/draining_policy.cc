@@ -24,14 +24,10 @@ double expected_deficit(double rate, int active_layers, const AimdModel& m,
   return gap * t - 0.5 * m.slope * t * t;
 }
 
-DrainPlan plan_equal_share(const std::vector<double>& layer_buf,
-                           int active_layers, const AimdModel& m, double dt,
-                           double need) {
+void plan_equal_share(DrainPlan& plan, const std::vector<double>& layer_buf,
+                      int active_layers, const AimdModel& m, double dt) {
   // Strawman: drain all layers evenly.
-  DrainPlan plan;
-  plan.drain_bytes.assign(static_cast<size_t>(active_layers), 0.0);
-  plan.planned_deficit = need;
-  double remaining = need;
+  double remaining = plan.planned_deficit;
   const double cap = m.consumption_rate * dt;
   for (int round = 0; round < active_layers && remaining > kEps; ++round) {
     const double per = remaining / static_cast<double>(active_layers);
@@ -47,17 +43,12 @@ DrainPlan plan_equal_share(const std::vector<double>& layer_buf,
     }
   }
   plan.shortfall = std::max(0.0, remaining);
-  return plan;
 }
 
-DrainPlan plan_base_only(const std::vector<double>& layer_buf,
-                         int active_layers, const AimdModel& m, double dt,
-                         double need) {
+void plan_base_only(DrainPlan& plan, const std::vector<double>& layer_buf,
+                    int active_layers, const AimdModel& m, double dt) {
   // Strawman: drain the base layer first, then upwards.
-  DrainPlan plan;
-  plan.drain_bytes.assign(static_cast<size_t>(active_layers), 0.0);
-  plan.planned_deficit = need;
-  double remaining = need;
+  double remaining = plan.planned_deficit;
   const double cap = m.consumption_rate * dt;
   for (int i = 0; i < active_layers && remaining > kEps; ++i) {
     const double can =
@@ -68,71 +59,37 @@ DrainPlan plan_base_only(const std::vector<double>& layer_buf,
     }
   }
   plan.shortfall = std::max(0.0, remaining);
-  return plan;
 }
 
-}  // namespace
-
-DrainPlan plan_drain_period(const std::vector<double>& layer_buf,
-                            int active_layers, double rate, double rate_ref,
-                            const AimdModel& model, int kmax,
-                            double period_sec, bool monotone,
-                            AllocationPolicy policy, double min_drainable) {
-  QA_CHECK(active_layers >= 1);
-  QA_CHECK(static_cast<int>(layer_buf.size()) >= active_layers);
-  QA_CHECK(period_sec > 0);
-
-  const double need =
-      expected_deficit(rate, active_layers, model, period_sec);
-
-  if (policy == AllocationPolicy::kEqualShare) {
-    auto plan = plan_equal_share(layer_buf, active_layers, model, period_sec, need);
-    plan.send_bytes.assign(static_cast<size_t>(active_layers), 0.0);
-    for (int i = 0; i < active_layers; ++i) {
-      plan.send_bytes[static_cast<size_t>(i)] =
-          std::max(0.0, model.consumption_rate * period_sec -
-                            plan.drain_bytes[static_cast<size_t>(i)]);
-    }
-    return plan;
-  }
-  if (policy == AllocationPolicy::kBaseOnly) {
-    auto plan = plan_base_only(layer_buf, active_layers, model, period_sec, need);
-    plan.send_bytes.assign(static_cast<size_t>(active_layers), 0.0);
-    for (int i = 0; i < active_layers; ++i) {
-      plan.send_bytes[static_cast<size_t>(i)] =
-          std::max(0.0, model.consumption_rate * period_sec -
-                            plan.drain_bytes[static_cast<size_t>(i)]);
-    }
-    return plan;
-  }
-
-  DrainPlan plan;
-  plan.planned_deficit = need;
-  plan.drain_bytes.assign(static_cast<size_t>(active_layers), 0.0);
-
+// The optimal drain (§4.2): walk the optimal-state sequence backwards from
+// the deepest state the current buffering covers, draining top-down and
+// never dipping a layer below its share in the state being regressed
+// toward.
+void plan_optimal(DrainPlan& plan, StateSequence& seq,
+                  const std::vector<double>& layer_buf, int active_layers,
+                  double rate_ref, const AimdModel& model, int kmax,
+                  double period_sec, bool monotone, double min_drainable) {
   const double drain_cap = model.consumption_rate * period_sec;
-  double remaining = need;
+  double remaining = plan.planned_deficit;
 
   if (remaining > kEps) {
-    // Walk the optimal-state sequence backwards from the deepest state the
-    // current buffering covers, draining top-down and never dipping a layer
-    // below its share in the state being regressed toward.
-    const StateSequence seq(rate_ref, active_layers, model, kmax, monotone);
+    seq.rebuild(rate_ref, active_layers, model, kmax, monotone);
     double tot_buf = 0;
     for (int i = 0; i < active_layers; ++i) {
       tot_buf += layer_buf[static_cast<size_t>(i)];
     }
     int idx = seq.last_covered(tot_buf);
 
-    const std::vector<double> zeros(static_cast<size_t>(active_layers), 0.0);
     for (; idx >= -1 && remaining > kEps; --idx) {
-      const std::vector<double>& targets =
-          idx >= 0 ? seq.states()[static_cast<size_t>(idx)].adjusted_targets
-                   : zeros;
+      // Below the first state every floor is zero.
+      const double* targets =
+          idx >= 0 ? seq.states()[static_cast<size_t>(idx)]
+                         .adjusted_targets.data()
+                   : nullptr;
       for (int i = active_layers - 1; i >= 0 && remaining > kEps; --i) {
         if (layer_buf[static_cast<size_t>(i)] <= min_drainable) continue;
         auto& d = plan.drain_bytes[static_cast<size_t>(i)];
-        const double floor = targets[static_cast<size_t>(i)];
+        const double floor = targets != nullptr ? targets[i] : 0.0;
         const double can =
             std::min({layer_buf[static_cast<size_t>(i)] - d - floor,
                       drain_cap - d, remaining});
@@ -145,14 +102,55 @@ DrainPlan plan_drain_period(const std::vector<double>& layer_buf,
     }
   }
   plan.shortfall = std::max(0.0, remaining);
+}
 
-  plan.send_bytes.assign(static_cast<size_t>(active_layers), 0.0);
+}  // namespace
+
+DrainPlan plan_drain_period(const std::vector<double>& layer_buf,
+                            int active_layers, double rate, double rate_ref,
+                            const AimdModel& model, int kmax,
+                            double period_sec, bool monotone,
+                            AllocationPolicy policy, double min_drainable) {
+  DrainPlan plan;
+  StateSequence seq;
+  plan_drain_period(plan, seq, layer_buf, active_layers, rate, rate_ref,
+                    model, kmax, period_sec, monotone, policy, min_drainable);
+  return plan;
+}
+
+void plan_drain_period(DrainPlan& plan, StateSequence& seq,
+                       const std::vector<double>& layer_buf,
+                       int active_layers, double rate, double rate_ref,
+                       const AimdModel& model, int kmax, double period_sec,
+                       bool monotone, AllocationPolicy policy,
+                       double min_drainable) {
+  QA_CHECK(active_layers >= 1);
+  QA_CHECK(static_cast<int>(layer_buf.size()) >= active_layers);
+  QA_CHECK(period_sec > 0);
+
+  plan.planned_deficit =
+      expected_deficit(rate, active_layers, model, period_sec);
+  plan.drain_bytes.assign(static_cast<size_t>(active_layers), 0.0);
+
+  switch (policy) {
+    case AllocationPolicy::kEqualShare:
+      plan_equal_share(plan, layer_buf, active_layers, model, period_sec);
+      break;
+    case AllocationPolicy::kBaseOnly:
+      plan_base_only(plan, layer_buf, active_layers, model, period_sec);
+      break;
+    case AllocationPolicy::kOptimal:
+      plan_optimal(plan, seq, layer_buf, active_layers, rate_ref, model, kmax,
+                   period_sec, monotone, min_drainable);
+      break;
+  }
+
+  plan.send_bytes.resize(static_cast<size_t>(active_layers));
   for (int i = 0; i < active_layers; ++i) {
     plan.send_bytes[static_cast<size_t>(i)] =
         std::max(0.0, model.consumption_rate * period_sec -
                           plan.drain_bytes[static_cast<size_t>(i)]);
   }
-  return plan;
 }
 
 }  // namespace qa::core

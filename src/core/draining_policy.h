@@ -48,4 +48,14 @@ DrainPlan plan_drain_period(const std::vector<double>& layer_buf,
                             AllocationPolicy policy = AllocationPolicy::kOptimal,
                             double min_drainable = 0.0);
 
+// The same plan written into `plan`, with `seq` as the state sequence's
+// storage. Both are reused: once their vectors have grown to active_layers
+// (and `seq` to 2*kmax states), a call allocates nothing.
+void plan_drain_period(DrainPlan& plan, StateSequence& seq,
+                       const std::vector<double>& layer_buf,
+                       int active_layers, double rate, double rate_ref,
+                       const AimdModel& model, int kmax, double period_sec,
+                       bool monotone, AllocationPolicy policy,
+                       double min_drainable);
+
 }  // namespace qa::core

@@ -1,7 +1,6 @@
 #include "core/filling_policy.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "core/state_sequence.h"
@@ -23,14 +22,12 @@ double total_of(const std::vector<double>& v, int n) {
 }
 
 FillDecision pick_equal_share(const std::vector<double>& layer_buf,
-                              int active_layers, double rate,
-                              const AimdModel& model, int kmax) {
+                              int active_layers, const TargetTable& targets,
+                              int kmax) {
   // Strawman: aim every layer at an equal slice of the scenario-1 Kmax
   // total; send to the most deprived layer.
-  const double target =
-      total_buf_required(Scenario::kClustered, kmax, rate, active_layers,
-                         model) /
-      static_cast<double>(active_layers);
+  const double target = targets.total(Scenario::kClustered, kmax) /
+                        static_cast<double>(active_layers);
   int best = -1;
   double best_gap = kEps;
   for (int i = 0; i < active_layers; ++i) {
@@ -44,11 +41,9 @@ FillDecision pick_equal_share(const std::vector<double>& layer_buf,
 }
 
 FillDecision pick_base_only(const std::vector<double>& layer_buf,
-                            int active_layers, double rate,
-                            const AimdModel& model, int kmax) {
+                            const TargetTable& targets, int kmax) {
   // Strawman: the base layer holds all protective buffering.
-  const double target = total_buf_required(Scenario::kClustered, kmax, rate,
-                                           active_layers, model);
+  const double target = targets.total(Scenario::kClustered, kmax);
   if (layer_buf[0] + kEps < target) return {0, Scenario::kClustered, kmax};
   return {-1, Scenario::kClustered, kmax};
 }
@@ -64,17 +59,17 @@ FillDecision pick_fill_layer(const std::vector<double>& layer_buf,
   QA_CHECK(static_cast<int>(layer_buf.size()) >= active_layers);
   QA_CHECK(kmax >= 1);
 
+  const TargetTable targets(rate, active_layers, model);
   if (policy == AllocationPolicy::kEqualShare) {
-    return pick_equal_share(layer_buf, active_layers, rate, model, kmax);
+    return pick_equal_share(layer_buf, active_layers, targets, kmax);
   }
   if (policy == AllocationPolicy::kBaseOnly) {
-    return pick_base_only(layer_buf, active_layers, rate, model, kmax);
+    return pick_base_only(layer_buf, targets, kmax);
   }
 
   const double tot_buf = total_of(layer_buf, active_layers);
-
-  const auto layer_target = [&](Scenario s, int k, int layer) {
-    return layer_buf_required(s, k, layer, rate, active_layers, model);
+  const auto below = [&](const TargetTable& table, Scenario s, int k, int i) {
+    return layer_buf[static_cast<size_t>(i)] + kEps < table.share(s, k, i);
   };
 
   // ---- Stage 1: the §4.1 per-packet state walk, k <= Kmax. ----
@@ -84,8 +79,7 @@ FillDecision pick_fill_layer(const std::vector<double>& layer_buf,
   double buf_req1 = 0;
   bool s1_done = true;
   for (int k = 1; k <= kmax; ++k) {
-    const double t =
-        total_buf_required(Scenario::kClustered, k, rate, active_layers, model);
+    const double t = targets.total(Scenario::kClustered, k);
     if (t > tot_buf + kEps) {
       s1_k = k;
       buf_req1 = t;
@@ -98,8 +92,7 @@ FillDecision pick_fill_layer(const std::vector<double>& layer_buf,
   int s2_k = 0;
   double buf_req2 = std::numeric_limits<double>::infinity();
   for (int k = 1; k <= kmax; ++k) {
-    const double t =
-        total_buf_required(Scenario::kSpread, k, rate, active_layers, model);
+    const double t = targets.total(Scenario::kSpread, k);
     if (t > tot_buf + kEps) {
       s2_k = k;
       buf_req2 = t;
@@ -110,8 +103,7 @@ FillDecision pick_fill_layer(const std::vector<double>& layer_buf,
   // Work toward whichever unmet state requires less total buffering.
   if (!s1_done && buf_req1 <= buf_req2) {
     for (int i = 0; i < active_layers; ++i) {
-      if (layer_buf[static_cast<size_t>(i)] + kEps <
-          layer_target(Scenario::kClustered, s1_k, i)) {
+      if (below(targets, Scenario::kClustered, s1_k, i)) {
         return {i, Scenario::kClustered, s1_k};
       }
     }
@@ -121,14 +113,12 @@ FillDecision pick_fill_layer(const std::vector<double>& layer_buf,
 
   if (s2_k > 0) {
     for (int i = 0; i < active_layers; ++i) {
-      const bool below_s2 = layer_buf[static_cast<size_t>(i)] + kEps <
-                            layer_target(Scenario::kSpread, s2_k, i);
       // Fig-10 cap: while scenario-1 states remain, a layer may only grow
       // while still below its next scenario-1 target.
-      const bool under_s1_cap =
-          s1_done || layer_buf[static_cast<size_t>(i)] + kEps <
-                         layer_target(Scenario::kClustered, s1_k, i);
-      if (below_s2 && under_s1_cap) return {i, Scenario::kSpread, s2_k};
+      if (below(targets, Scenario::kSpread, s2_k, i) &&
+          (s1_done || below(targets, Scenario::kClustered, s1_k, i))) {
+        return {i, Scenario::kSpread, s2_k};
+      }
     }
   }
 
@@ -140,37 +130,22 @@ FillDecision pick_fill_layer(const std::vector<double>& layer_buf,
   // violated suffix.
   if (!s1_done) {
     for (int i = 0; i < active_layers; ++i) {
-      if (layer_buf[static_cast<size_t>(i)] + kEps <
-          layer_target(Scenario::kClustered, s1_k, i)) {
+      if (below(targets, Scenario::kClustered, s1_k, i)) {
         return {i, Scenario::kClustered, s1_k};
       }
     }
   }
-  std::vector<double> targets(static_cast<size_t>(active_layers));
   for (const Scenario s : {Scenario::kClustered, Scenario::kSpread}) {
     for (int k = 1; k <= kmax; ++k) {
-      for (int i = 0; i < active_layers; ++i) {
-        targets[static_cast<size_t>(i)] = layer_target(s, k, i);
-      }
-      if (StateSequence::suffix_dominates(layer_buf, targets, active_layers)) {
-        continue;
-      }
       // Highest violated suffix start j (filling a layer >= j is the only
       // way to fix it), then the lowest layer at or above j still below
       // its own target.
-      double buf_cum = 0, target_cum = 0;
-      int j = -1;
-      for (int i = active_layers - 1; i >= 0; --i) {
-        buf_cum += layer_buf[static_cast<size_t>(i)];
-        target_cum += targets[static_cast<size_t>(i)];
-        if (buf_cum + kEps < target_cum && j < 0) j = i;
-      }
-      QA_CHECK(j >= 0);
+      const int j = StateSequence::short_suffix(
+          layer_buf, active_layers,
+          [&](int i) { return targets.share(s, k, i); });
+      if (j < 0) continue;
       for (int i = j; i < active_layers; ++i) {
-        if (layer_buf[static_cast<size_t>(i)] + kEps <
-            targets[static_cast<size_t>(i)]) {
-          return {i, s, k};
-        }
+        if (below(targets, s, k, i)) return {i, s, k};
       }
     }
   }
@@ -180,14 +155,11 @@ FillDecision pick_fill_layer(const std::vector<double>& layer_buf,
   // could be added, raise the existing layers to their shares in the
   // enlarged configuration so the smoothed add gate can open.
   if (prepare_layers > active_layers) {
+    const TargetTable prepared(rate, prepare_layers, model);
     for (int k = 1; k <= kmax; ++k) {
       for (const Scenario s : {Scenario::kClustered, Scenario::kSpread}) {
         for (int i = 0; i < active_layers; ++i) {
-          const double target =
-              layer_buf_required(s, k, i, rate, prepare_layers, model);
-          if (layer_buf[static_cast<size_t>(i)] + kEps < target) {
-            return {i, s, k};
-          }
+          if (below(prepared, s, k, i)) return {i, s, k};
         }
       }
     }
@@ -200,10 +172,8 @@ FillDecision pick_fill_layer(const std::vector<double>& layer_buf,
   // bridged without starving the top.
   const int ladder_end = std::min(kmax + std::max(ladder_depth, 0), kSpreadCap);
   for (int k = kmax + 1; k <= ladder_end; ++k) {
-    const double t1 =
-        total_buf_required(Scenario::kClustered, k, rate, active_layers, model);
-    const double t2 =
-        total_buf_required(Scenario::kSpread, k, rate, active_layers, model);
+    const double t1 = targets.total(Scenario::kClustered, k);
+    const double t2 = targets.total(Scenario::kSpread, k);
     const Scenario order[2] = {t1 <= t2 ? Scenario::kClustered
                                         : Scenario::kSpread,
                                t1 <= t2 ? Scenario::kSpread
@@ -212,9 +182,7 @@ FillDecision pick_fill_layer(const std::vector<double>& layer_buf,
       const double t = s == Scenario::kClustered ? t1 : t2;
       if (t <= tot_buf + kEps) continue;
       for (int i = 0; i < active_layers; ++i) {
-        if (layer_buf[static_cast<size_t>(i)] + kEps < layer_target(s, k, i)) {
-          return {i, s, k};
-        }
+        if (below(targets, s, k, i)) return {i, s, k};
       }
     }
   }

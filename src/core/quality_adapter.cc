@@ -16,6 +16,12 @@ QualityAdapter::QualityAdapter(AdapterConfig cfg)
   QA_CHECK(cfg_.max_layers >= 1);
   QA_CHECK(cfg_.kmax >= 1);
   QA_CHECK(cfg_.drain_period > TimeDelta::zero());
+  // Steady state allocates nothing: the plan storage is sized up front for
+  // every layer the stream can have.
+  send_credit_.reserve(static_cast<size_t>(cfg_.max_layers));
+  plan_.drain_bytes.reserve(static_cast<size_t>(cfg_.max_layers));
+  plan_.send_bytes.reserve(static_cast<size_t>(cfg_.max_layers));
+  plan_seq_.reserve(cfg_.kmax, cfg_.max_layers);
 }
 
 void QualityAdapter::begin(TimePoint now) {
@@ -117,11 +123,11 @@ bool QualityAdapter::apply_drops(TimePoint now, double rate,
     const double threshold =
         std::max(2.0 * last_packet_bytes_,
                  0.5 * m.consumption_rate * cfg_.drain_period.sec());
-    const auto starving = receiver_.take_starving(threshold);
+    const int starving = receiver_.take_starving(threshold);
     // Any materially starving layer forces a drop. A starving BASE layer is
     // the emergency case — playback itself is at risk — and equally sheds
     // the top layer to free bandwidth for the base.
-    if (!starving.empty() && receiver_.active_layers() > 1) {
+    if (starving > 0 && receiver_.active_layers() > 1) {
       const int cur = receiver_.active_layers();
       const double required = triangle_area(
           static_cast<double>(cur) * m.consumption_rate - rate, m.slope);
@@ -138,20 +144,18 @@ void QualityAdapter::rebuild_plan(TimePoint now, double rate,
   const int na = receiver_.active_layers();
   const double consumption = static_cast<double>(na) * m.consumption_rate;
   const double ref = std::max(rate_ref_, consumption);
-  const DrainPlan plan = plan_drain_period(
-      receiver_.buffers(), na, rate, ref, m, cfg_.kmax,
-      cfg_.drain_period.sec(), cfg_.monotone, cfg_.allocation,
-      /*min_drainable=*/2.0 * last_packet_bytes_);
+  plan_drain_period(plan_, plan_seq_, receiver_.buffers(), na, rate, ref, m,
+                    cfg_.kmax, cfg_.drain_period.sec(), cfg_.monotone,
+                    cfg_.allocation,
+                    /*min_drainable=*/2.0 * last_packet_bytes_);
   // Packets are indivisible, so a period can overshoot a layer's
   // entitlement by up to one packet; carry that debt into the next plan or
   // the layer would receive a whole extra packet every period.
-  std::vector<double> carry(static_cast<size_t>(na), 0.0);
-  for (size_t i = 0; i < send_credit_.size() && i < carry.size(); ++i) {
-    carry[i] = std::min(0.0, send_credit_[i]);
-  }
-  send_credit_ = plan.send_bytes;
+  const size_t carried = std::min(send_credit_.size(), static_cast<size_t>(na));
+  send_credit_.resize(static_cast<size_t>(na));
   for (size_t i = 0; i < send_credit_.size(); ++i) {
-    send_credit_[i] += carry[i];
+    const double carry = i < carried ? std::min(0.0, send_credit_[i]) : 0.0;
+    send_credit_[i] = plan_.send_bytes[i] + carry;
   }
   plan_expiry_ = now + cfg_.drain_period;
   plan_valid_ = true;
@@ -304,8 +308,7 @@ int QualityAdapter::on_send_opportunity(TimePoint now, double rate,
                                     static_cast<double>(na + 1) *
                                         m.consumption_rate),
                            m,
-                           AddDropConfig{cfg_.kmax, cfg_.max_layers,
-                                         cfg_.monotone})) {
+                           AddDropConfig{cfg_.kmax, cfg_.max_layers})) {
         receiver_.add_layer(now);
         last_add_ = now;
         metrics_.record_add({now, receiver_.active_layers()});

@@ -28,6 +28,7 @@
 #include "core/filling_policy.h"
 #include "core/metrics.h"
 #include "core/receiver_model.h"
+#include "core/state_sequence.h"
 #include "util/event.h"
 #include "util/time.h"
 
@@ -210,6 +211,10 @@ class QualityAdapter {
   bool plan_valid_ = false;
   TimePoint plan_expiry_;
   std::vector<double> send_credit_;
+  // Storage of the last plan and its state sequence, reused by every
+  // rebuild so that re-planning allocates nothing.
+  DrainPlan plan_;
+  StateSequence plan_seq_;
   double last_packet_bytes_ = 1000;
   TimePoint last_add_;
 };

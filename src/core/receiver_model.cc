@@ -12,6 +12,7 @@ ReceiverModel::ReceiverModel(double consumption_rate, int max_layers)
       layers_(static_cast<size_t>(max_layers)) {
   QA_CHECK(consumption_rate_ > 0);
   QA_CHECK(max_layers >= 1);
+  buf_.reserve(static_cast<size_t>(max_layers));
 }
 
 void ReceiverModel::advance(TimePoint now) {
@@ -27,12 +28,13 @@ void ReceiverModel::advance(TimePoint now) {
   double consumed = 0;
   for (int i = 0; i < active_; ++i) {
     Layer& l = layers_[static_cast<size_t>(i)];
+    double& buf = buf_[static_cast<size_t>(i)];
     const TimePoint consume_from =
         std::max({clock_, l.active_from, playout_start_});
     if (now <= consume_from) continue;
     const double want = consumption_rate_ * (now - consume_from).sec();
-    if (l.buf >= want) {
-      l.buf -= want;
+    if (buf >= want) {
+      buf -= want;
       consumed += want;
       l.empty_state = false;
       // Healthy interval: the starvation balance heals at C/5 so isolated
@@ -43,9 +45,9 @@ void ReceiverModel::advance(TimePoint now) {
       // record the underflow. (Data arriving during the dry spell was
       // credited before advance() and so is already reflected in buf; the
       // residual `want - buf` is playout the client could not perform.)
-      const double missing = want - l.buf;
-      consumed += l.buf;
-      l.buf = 0;
+      const double missing = want - buf;
+      consumed += buf;
+      buf = 0;
       l.missed += missing;
       if (!l.empty_state) {
         l.empty_state = true;
@@ -56,8 +58,7 @@ void ReceiverModel::advance(TimePoint now) {
         base_stall_ += TimeDelta::from_sec(missing / consumption_rate_);
       }
     }
-    QA_INVARIANT_MSG(l.buf >= 0,
-                     "layer " << i << " buffer negative: " << l.buf);
+    QA_INVARIANT_MSG(buf >= 0, "layer " << i << " buffer negative: " << buf);
   }
   const double total_after = total_buffer();
   QA_INVARIANT_MSG(
@@ -79,6 +80,7 @@ int ReceiverModel::add_layer(TimePoint now) {
   // start needs no clamping here (playout_start_ may legitimately move
   // while a client waits for its startup buffer target).
   l.active_from = now;
+  buf_.push_back(0.0);
   return active_++;
 }
 
@@ -86,9 +88,9 @@ double ReceiverModel::drop_top_layer(TimePoint now) {
   advance(now);
   QA_CHECK_MSG(active_ > 1, "the base layer is never dropped");
   Layer& l = layers_[static_cast<size_t>(active_ - 1)];
-  const double residual = l.buf;
+  const double residual = buf_.back();
   l.active = false;
-  l.buf = 0;
+  buf_.pop_back();
   --active_;
   return residual;
 }
@@ -96,37 +98,27 @@ double ReceiverModel::drop_top_layer(TimePoint now) {
 void ReceiverModel::credit(int layer, double bytes) {
   QA_CHECK(layer >= 0 && layer < active_);
   QA_CHECK_GE(bytes, 0.0);
-  Layer& l = layers_[static_cast<size_t>(layer)];
-  l.buf += bytes;
-  if (l.buf > 0) l.empty_state = false;
+  double& buf = buf_[static_cast<size_t>(layer)];
+  buf += bytes;
+  if (buf > 0) layers_[static_cast<size_t>(layer)].empty_state = false;
 }
 
 void ReceiverModel::debit_loss(int layer, double bytes) {
   QA_CHECK(layer >= 0 && layer < static_cast<int>(layers_.size()));
   QA_CHECK_GE(bytes, 0.0);
   if (layer >= active_) return;  // layer dropped since the packet was sent
-  Layer& l = layers_[static_cast<size_t>(layer)];
-  l.buf = std::max(0.0, l.buf - bytes);
+  double& buf = buf_[static_cast<size_t>(layer)];
+  buf = std::max(0.0, buf - bytes);
 }
 
 double ReceiverModel::buffer(int layer) const {
   QA_CHECK(layer >= 0 && layer < static_cast<int>(layers_.size()));
-  return layers_[static_cast<size_t>(layer)].buf;
-}
-
-std::vector<double> ReceiverModel::buffers() const {
-  std::vector<double> out(static_cast<size_t>(active_));
-  for (int i = 0; i < active_; ++i) {
-    out[static_cast<size_t>(i)] = layers_[static_cast<size_t>(i)].buf;
-  }
-  return out;
+  return layer < active_ ? buf_[static_cast<size_t>(layer)] : 0.0;
 }
 
 double ReceiverModel::total_buffer() const {
   double sum = 0;
-  for (int i = 0; i < active_; ++i) {
-    sum += layers_[static_cast<size_t>(i)].buf;
-  }
+  for (double b : buf_) sum += b;
   return sum;
 }
 
@@ -141,16 +133,16 @@ int64_t ReceiverModel::total_underflow_events() const {
   return sum;
 }
 
-std::vector<int> ReceiverModel::take_starving(double threshold_bytes) {
-  std::vector<int> out;
+int ReceiverModel::take_starving(double threshold_bytes) {
+  int starving = 0;
   for (int i = 0; i < active_; ++i) {
     Layer& l = layers_[static_cast<size_t>(i)];
     if (l.missed >= threshold_bytes) {
       l.missed = 0;
-      out.push_back(i);
+      ++starving;
     }
   }
-  return out;
+  return starving;
 }
 
 double ReceiverModel::missed_bytes(int layer) const {

@@ -48,9 +48,12 @@ class ReceiverModel {
   void debit_loss(int layer, double bytes);
 
   int active_layers() const { return active_; }
+  // Buffered bytes of `layer`; 0 for a layer that is not active.
   double buffer(int layer) const;
   // Buffers of the active layers, base first (size == active_layers()).
-  std::vector<double> buffers() const;
+  // A view of the model's own storage: no copy, and it tracks later
+  // credits, drains, adds and drops.
+  const std::vector<double>& buffers() const { return buf_; }
   double total_buffer() const;
 
   // Underflow accounting. An underflow event is a transition into the
@@ -63,10 +66,10 @@ class ReceiverModel {
   // Starvation accounting: every layer accumulates the bytes its playout
   // missed (consumption attempted against an empty buffer); the balance
   // heals at a fraction of C while the layer is fed again, so isolated
-  // single-packet jitter never looks like starvation. Returns the active
-  // layers whose missed balance is at least `threshold_bytes` and resets
-  // those balances.
-  std::vector<int> take_starving(double threshold_bytes);
+  // single-packet jitter never looks like starvation. Returns the number
+  // of active layers whose missed balance is at least `threshold_bytes`
+  // and resets those balances.
+  int take_starving(double threshold_bytes);
   double missed_bytes(int layer) const;
   // Cumulative time the base layer spent consuming from an empty buffer —
   // i.e. playback stall time.
@@ -76,7 +79,6 @@ class ReceiverModel {
 
  private:
   struct Layer {
-    double buf = 0;
     TimePoint active_from;
     bool active = false;
     int64_t underflows = 0;
@@ -87,6 +89,9 @@ class ReceiverModel {
 
   double consumption_rate_;
   std::vector<Layer> layers_;
+  // Buffered bytes per active layer (size == active_), kept contiguous so
+  // buffers() needs no copy; capacity is reserved for every layer.
+  std::vector<double> buf_;
   int active_ = 0;
   TimePoint clock_;
   TimePoint playout_start_;

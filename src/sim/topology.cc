@@ -52,8 +52,8 @@ Dumbbell build_dumbbell(Network& net, const DumbbellParams& params) {
   const Rate access_bw = params.bottleneck_bw * params.access_bw_multiple;
   std::vector<Link*> left_up, right_up;
   for (int i = 0; i < params.pairs; ++i) {
-    Node* l = net.add_node("L" + std::to_string(i));
-    Node* r = net.add_node("R" + std::to_string(i));
+    Node* l = net.add_node(std::string("L").append(std::to_string(i)));
+    Node* r = net.add_node(std::string("R").append(std::to_string(i)));
     d.left.push_back(l);
     d.right.push_back(r);
 
@@ -127,8 +127,8 @@ FarmTopo build_farm(Network& net, const FarmTopoParams& params) {
     const Rate access_bw = fair_share * ac.bw_multiple;
     const TimeDelta hop_delay = access_delay + ac.extra_delay;
 
-    Node* s = net.add_node("S" + std::to_string(i));
-    Node* c = net.add_node("C" + std::to_string(i));
+    Node* s = net.add_node(std::string("S").append(std::to_string(i)));
+    Node* c = net.add_node(std::string("C").append(std::to_string(i)));
     f.servers.push_back(s);
     f.clients.push_back(c);
     f.access_class.push_back(cls);

@@ -245,7 +245,11 @@ void TimeSeriesRecorder::write_json(const std::string& path) const {
     for (const Point& p : points(name)) {
       out += first_pt ? "" : ", ";
       first_pt = false;
-      out += "[" + exact_double(p.t.sec()) + ", " + exact_double(p.value) + "]";
+      out += '[';
+      out += exact_double(p.t.sec());
+      out += ", ";
+      out += exact_double(p.value);
+      out += ']';
     }
     out += "]";
   }

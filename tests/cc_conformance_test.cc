@@ -202,11 +202,11 @@ TEST_P(BackendConformance, SameSeedRunsDigestIdentically) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformance,
-                         ::testing::ValuesIn(cc::all_backends()),
-                         [](const ::testing::TestParamInfo<cc::Backend>& info) {
-                           return std::string(cc::to_string(info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, BackendConformance, ::testing::ValuesIn(cc::all_backends()),
+    [](const ::testing::TestParamInfo<cc::Backend>& param_info) {
+      return std::string(cc::to_string(param_info.param));
+    });
 
 // The backend name round-trip every CLI goes through: each backend parses
 // back from its own name, and an unknown name is rejected with a message

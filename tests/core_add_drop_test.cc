@@ -12,7 +12,7 @@ const AimdModel kModel{10'000.0, 20'000.0};
 TEST(ShouldAddLayer, RejectsWhenRateInsufficient) {
   // 2 layers active, adding needs R >= 30 kB/s.
   std::vector<double> huge(2, 1e9);
-  AddDropConfig cfg{/*kmax=*/2, /*max_layers=*/5, /*monotone=*/true};
+  AddDropConfig cfg{/*kmax=*/2, /*max_layers=*/5};
   EXPECT_FALSE(should_add_layer(huge, 2, 29'999, kModel, cfg));
   EXPECT_TRUE(should_add_layer(huge, 2, 30'001, kModel, cfg));
 }
@@ -21,7 +21,7 @@ TEST(ShouldAddLayer, RejectsWhenBufferingTooThin) {
   // R = 50 kB/s, 2 layers: the Kmax=2 clustered state (H = 7.5 kB/s) needs
   // ~1.4 kB buffered; empty buffers must block the add.
   std::vector<double> empty(2, 0.0);
-  AddDropConfig cfg{2, 5, true};
+  AddDropConfig cfg{2, 5};
   EXPECT_FALSE(should_add_layer(empty, 2, 50'000, kModel, cfg));
 }
 
@@ -32,7 +32,7 @@ TEST(ShouldAddLayer, HighRateStillNeedsProspectiveBuffering) {
   // needs 2.5 kB on the base layer. Empty buffers must block the add; the
   // base-layer share opens it.
   std::vector<double> empty(2, 0.0);
-  AddDropConfig cfg{2, 5, true};
+  AddDropConfig cfg{2, 5};
   EXPECT_FALSE(should_add_layer(empty, 2, 80'000, kModel, cfg));
   std::vector<double> enough = {2'501.0, 0.0};
   EXPECT_TRUE(should_add_layer(enough, 2, 80'000, kModel, cfg));
@@ -44,8 +44,8 @@ TEST(ShouldAddLayer, AcceptsWhenProspectiveTargetsMet) {
   // adjusted targets of that configuration: the add must be allowed.
   const int na = 2;
   const double rate = 50'000;
-  AddDropConfig cfg{2, 5, true};
-  const StateSequence seq(rate, na + 1, kModel, cfg.kmax, cfg.monotone);
+  AddDropConfig cfg{2, 5};
+  const StateSequence seq(rate, na + 1, kModel, cfg.kmax, true);
   std::vector<double> bufs = seq.states().back().adjusted_targets;
   ASSERT_EQ(bufs.size(), 3u);
   EXPECT_NEAR(bufs[2], 0.0, 1e-6) << "newcomer's own share should be nil";
@@ -55,7 +55,7 @@ TEST(ShouldAddLayer, AcceptsWhenProspectiveTargetsMet) {
 
 TEST(ShouldAddLayer, RespectsMaxLayers) {
   std::vector<double> huge(3, 1e9);
-  AddDropConfig cfg{2, 3, true};
+  AddDropConfig cfg{2, 3};
   EXPECT_FALSE(should_add_layer(huge, 3, 1e9, kModel, cfg));
 }
 
@@ -66,8 +66,8 @@ TEST(ShouldAddLayer, DistributionMattersNotJustTotal) {
   // though the total amount would suffice.
   const int na = 3;
   const double rate = 50'000;
-  AddDropConfig cfg{2, 6, true};
-  const StateSequence seq(rate, na, kModel, cfg.kmax, cfg.monotone);
+  AddDropConfig cfg{2, 6};
+  const StateSequence seq(rate, na, kModel, cfg.kmax, true);
   double total = 0;
   for (double t : seq.states().back().adjusted_targets) total += t;
   ASSERT_GT(seq.states().back().raw_targets[1], 0.0)

@@ -2,8 +2,94 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
+#include "tracedrive/bandwidth_trace.h"
+#include "util/rng.h"
+
 namespace qa::core {
 namespace {
+
+// The original O(B) lookup: re-walk every backoff from t = 0. rate_at must
+// return exactly (bitwise) what this recurrence returns.
+double linear_rate_at(const AimdTrajectory& traj, double t_sec) {
+  double rate = traj.initial_rate();
+  double t_prev = 0;
+  const double cap = traj.rate_cap();
+  const auto clamp = [cap](double r) { return cap > 0 ? std::min(r, cap) : r; };
+  for (double tb : traj.backoff_times()) {
+    if (tb > t_sec) break;
+    rate = clamp(rate + traj.slope() * (tb - t_prev));
+    rate /= 2.0;
+    t_prev = tb;
+  }
+  return clamp(rate + traj.slope() * (t_sec - t_prev));
+}
+
+// Queries t = 0, every backoff instant and one ulp either side of it, a
+// grid across the trajectory, and times past the last backoff.
+void expect_matches_linear(const AimdTrajectory& traj, double duration) {
+  std::vector<double> ts = {0.0, duration, duration * 2};
+  for (double tb : traj.backoff_times()) {
+    ts.push_back(tb);
+    ts.push_back(std::nextafter(tb, -std::numeric_limits<double>::infinity()));
+    ts.push_back(std::nextafter(tb, std::numeric_limits<double>::infinity()));
+  }
+  for (double t = 0; t < duration; t += duration / 97) ts.push_back(t);
+  if (!traj.backoff_times().empty()) {
+    ts.push_back(traj.backoff_times().back() + 1e-9);
+    ts.push_back(traj.backoff_times().back() + 10.0);
+  }
+  for (double t : ts) {
+    EXPECT_EQ(traj.rate_at(t), linear_rate_at(traj, t)) << "t=" << t;
+  }
+}
+
+TEST(AimdTrajectoryLookup, MatchesLinearRecurrenceOnRandomTrajectories) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    const auto traj = tracedrive::random_backoff_trajectory(
+        20'000, 8'000, 70'000, 600.0, 3.0 + static_cast<double>(seed), rng);
+    ASSERT_GT(traj.backoff_times().size(), 50u);
+    expect_matches_linear(traj, 600.0);
+  }
+}
+
+TEST(AimdTrajectoryLookup, MatchesLinearRecurrenceOnSawtooth) {
+  expect_matches_linear(
+      AimdTrajectory::sawtooth(30'000, 20'000, 50'000, 120.0), 120.0);
+  expect_matches_linear(
+      AimdTrajectory::sawtooth(10'000, 5'000, 20'000, 30.0), 30.0);
+}
+
+TEST(AimdTrajectoryLookup, MatchesLinearRecurrenceUncapped) {
+  AimdTrajectory traj(15'000, 3'000);
+  Rng rng(11);
+  double t = 0;
+  for (int i = 0; i < 200; ++i) {
+    t += rng.exponential(2.0) + 1e-6;
+    traj.add_backoff(t);
+  }
+  expect_matches_linear(traj, t + 5.0);
+}
+
+TEST(AimdTrajectoryLookup, CapSetAfterBackoffsRebuildsPostBackoffRates) {
+  AimdTrajectory traj(20'000, 10'000);
+  Rng rng(5);
+  double t = 0;
+  for (int i = 0; i < 100; ++i) {
+    t += rng.exponential(1.5) + 1e-6;
+    traj.add_backoff(t);
+  }
+  expect_matches_linear(traj, t + 1.0);  // uncapped so far
+  traj.set_rate_cap(30'000);
+  expect_matches_linear(traj, t + 1.0);
+  traj.set_rate_cap(0);  // and back to uncapped
+  expect_matches_linear(traj, t + 1.0);
+}
 
 TEST(AimdTrajectory, LinearGrowthWithoutBackoffs) {
   AimdTrajectory traj(10'000, 5'000);

@@ -270,5 +270,112 @@ TEST_P(BufferMathProperty, DropRuleKeepsRecoverableSet) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BufferMathProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
 
+// --- TargetTable vs the from-scratch formulas. -------------------------------
+
+// The §4.1 target formulas as they were evaluated before the per-decision
+// table existed: every call re-derives the consumption, k1 and the deficit
+// height. The table must reproduce them bit for bit.
+namespace reference {
+
+double deficit_height(Scenario scenario, int k, double rate,
+                      int active_layers, const AimdModel& model) {
+  if (k == 0) return 0;
+  const double consumption =
+      static_cast<double>(active_layers) * model.consumption_rate;
+  if (scenario == Scenario::kClustered) {
+    return consumption - rate / std::exp2(k);
+  }
+  const int k1 = min_backoffs_to_drain(rate, active_layers,
+                                       model.consumption_rate);
+  if (k < k1) return 0;
+  return consumption - rate / std::exp2(k1);
+}
+
+double total_buf_required(Scenario scenario, int k, double rate,
+                          int active_layers, const AimdModel& model) {
+  if (k <= 0) return 0;
+  const double consumption =
+      static_cast<double>(active_layers) * model.consumption_rate;
+  const double first = triangle_area(
+      reference::deficit_height(scenario, k, rate, active_layers, model),
+      model.slope);
+  if (scenario == Scenario::kClustered) return first;
+  const int k1 =
+      min_backoffs_to_drain(rate, active_layers, model.consumption_rate);
+  if (k < k1) return 0;
+  const double spread = triangle_area(consumption / 2.0, model.slope);
+  return first + static_cast<double>(k - k1) * spread;
+}
+
+double layer_buf_required(Scenario scenario, int k, int layer, double rate,
+                          int active_layers, const AimdModel& model) {
+  if (k <= 0) return 0;
+  const double consumption =
+      static_cast<double>(active_layers) * model.consumption_rate;
+  const double h =
+      reference::deficit_height(scenario, k, rate, active_layers, model);
+  const double first =
+      band_share(h, layer, model.consumption_rate, model.slope);
+  if (scenario == Scenario::kClustered) return first;
+  const int k1 =
+      min_backoffs_to_drain(rate, active_layers, model.consumption_rate);
+  if (k < k1) return 0;
+  const double spread = band_share(consumption / 2.0, layer,
+                                   model.consumption_rate, model.slope);
+  return first + static_cast<double>(k - k1) * spread;
+}
+
+}  // namespace reference
+
+TEST(TargetTable, BitIdenticalToFromScratchFormulas) {
+  // Rates as multiples of n_a*C: below consumption (k1 = 1) up to deep
+  // sawtooth peaks (k1 = 6), plus off-grid values.
+  const double kRateFactors[] = {0.3, 0.5, 0.97, 1.0, 1.37, 1.9, 2.0, 2.6,
+                                 4.1, 7.9, 13.3, 16.5, 40.0};
+  const AimdModel models[] = {kModel, {1'250.0, 1'200.0}, {7'300.0, 55'000.0}};
+  int below_k1 = 0, at_k1 = 0, above_band = 0, checked = 0;
+  for (const AimdModel& m : models) {
+    for (int na = 1; na <= 8; ++na) {
+      for (double f : kRateFactors) {
+        const double rate = f * na * m.consumption_rate;
+        for (int kmax = 1; kmax <= 6; ++kmax) {
+          const TargetTable table(rate, na, m);
+          ASSERT_EQ(table.k1(),
+                    min_backoffs_to_drain(rate, na, m.consumption_rate));
+          for (const Scenario s : {Scenario::kClustered, Scenario::kSpread}) {
+            for (int k = 0; k <= kmax; ++k) {
+              below_k1 += k < table.k1();
+              at_k1 += k == table.k1();
+              const double h = reference::deficit_height(s, k, rate, na, m);
+              EXPECT_EQ(table.height(s, k), h);
+              EXPECT_EQ(deficit_height(s, k, rate, na, m), h);
+              const double total =
+                  reference::total_buf_required(s, k, rate, na, m);
+              EXPECT_EQ(table.total(s, k), total);
+              EXPECT_EQ(total_buf_required(s, k, rate, na, m), total);
+              for (int layer = 0; layer < na; ++layer) {
+                const double share =
+                    reference::layer_buf_required(s, k, layer, rate, na, m);
+                above_band += k > 0 && h > 0 &&
+                              layer * m.consumption_rate >= h;
+                EXPECT_EQ(table.share(s, k, layer), share)
+                    << "na=" << na << " rate=" << rate << " k=" << k
+                    << " layer=" << layer;
+                EXPECT_EQ(layer_buf_required(s, k, layer, rate, na, m), share);
+                ++checked;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // The grid reaches every branch of the formulas.
+  EXPECT_GT(below_k1, 0);
+  EXPECT_GT(at_k1, 0);
+  EXPECT_GT(above_band, 0);
+  EXPECT_GT(checked, 10'000);
+}
+
 }  // namespace
 }  // namespace qa::core

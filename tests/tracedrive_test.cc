@@ -100,6 +100,53 @@ TEST_P(TraceSeeds, RandomLossPatternsKeepBaseIntactAndEfficient) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceSeeds,
                          ::testing::Range(1, 21));
 
+// Seeded session i of the pinned set: Kmax 1 + i, a mean random-backoff
+// interval of 3 + 2i s, rate, slope and cap jittered by the seed.
+struct PinnedSession {
+  core::AimdTrajectory traj;
+  core::AdapterConfig cfg;
+};
+
+PinnedSession pinned_session(int i) {
+  Rng rng(static_cast<uint64_t>(100 + i));
+  const double initial = 20'000 * rng.uniform(0.9, 1.1);
+  const double slope = 8'000 * rng.uniform(0.9, 1.1);
+  const double cap = 70'000 * rng.uniform(0.9, 1.1);
+  core::AdapterConfig cfg;
+  cfg.consumption_rate = 10'000;
+  cfg.max_layers = 8;
+  cfg.kmax = 1 + i;
+  return {random_backoff_trajectory(initial, slope, cap, 120.0, 3.0 + 2 * i,
+                                    rng),
+          cfg};
+}
+
+TEST(TraceRun, PinnedSessionsReproduceExactly) {
+  // Recorded from the from-scratch target formulas and the O(B) trajectory
+  // lookup; any drift in the QA core's decisions shows up here.
+  struct Expected {
+    int64_t packets;
+    size_t adds;
+    size_t drops;
+    double efficiency;
+  };
+  const Expected kExpected[] = {
+      {4172, 20, 17, 0.97970777159947053},
+      {5336, 13, 8, 0.97416103070632687},
+      {5666, 6, 2, 0.98199345747917755},
+      {5438, 5, 2, 0.98673418799695778},
+  };
+  for (int i = 0; i < 4; ++i) {
+    const PinnedSession s = pinned_session(i);
+    const TraceRunResult r = run_trace(s.traj, s.cfg, 120.0, 1000);
+    const Expected& e = kExpected[i];
+    EXPECT_EQ(r.packets_sent, e.packets) << "session " << i;
+    EXPECT_EQ(r.metrics.adds().size(), e.adds) << "session " << i;
+    EXPECT_EQ(r.metrics.drops().size(), e.drops) << "session " << i;
+    EXPECT_EQ(r.metrics.mean_efficiency(), e.efficiency) << "session " << i;
+  }
+}
+
 TEST(RandomTrajectory, RespectsCapAndOrdering) {
   Rng rng(3);
   const auto traj = random_backoff_trajectory(20'000, 15'000, 50'000, 30.0,

@@ -18,9 +18,15 @@ TEST(Event, EmitWithNoSubscribersIsInactiveNoop) {
 TEST(Event, SubscribersRunInSubscriptionOrder) {
   Event<int> ev;
   std::vector<std::string> calls;
-  ev.subscribe([&](int v) { calls.push_back("a" + std::to_string(v)); });
-  ev.subscribe([&](int v) { calls.push_back("b" + std::to_string(v)); });
-  ev.subscribe([&](int v) { calls.push_back("c" + std::to_string(v)); });
+  ev.subscribe([&](int v) {
+    calls.push_back(std::string("a").append(std::to_string(v)));
+  });
+  ev.subscribe([&](int v) {
+    calls.push_back(std::string("b").append(std::to_string(v)));
+  });
+  ev.subscribe([&](int v) {
+    calls.push_back(std::string("c").append(std::to_string(v)));
+  });
   ev.emit(1);
   ev.emit(2);
   EXPECT_EQ(calls,
