@@ -31,6 +31,17 @@ ExperimentParams ExperimentParams::t2(int kmax, uint64_t seed) {
   return p;
 }
 
+ExperimentParams ExperimentParams::fig2() {
+  ExperimentParams p;
+  p.bottleneck = Rate::kilobits_per_sec(240);
+  p.rap_flows = 1;
+  p.tcp_flows = 0;
+  p.duration_sec = 20;
+  p.layer_rate = Rate::bytes_per_sec(10'000);
+  p.kmax = 1;
+  return p;
+}
+
 ExperimentResult run_experiment(const ExperimentParams& params) {
   QA_CHECK(params.rap_flows >= 1);
   QA_CHECK(params.duration_sec > 0);

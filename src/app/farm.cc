@@ -4,12 +4,14 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "app/session.h"
 #include "core/layered_video.h"
 #include "sim/fault.h"
 #include "util/csv.h"
+#include "util/flags.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -665,6 +667,44 @@ class Farm {
 };
 
 }  // namespace
+
+FarmParams FarmParams::preset(const std::string& name) {
+  FarmParams p;
+  p.stream_layers = 4;
+  p.layer_rate = Rate::kilobytes_per_sec(2.5);
+  p.packet_size = 500;
+  if (name == "smoke") {
+    p.slots = 16;
+    p.duration = TimeDelta::seconds(60);
+    p.bottleneck_bw = Rate::kilobytes_per_sec(100);
+    p.arrival_rate_hz = 0.4;
+    p.mean_session = TimeDelta::seconds(25);
+  } else if (name == "churn500") {
+    // ~500 join attempts over the run: sized for the determinism
+    // acceptance check (same seed => digest-identical).
+    p.slots = 96;
+    p.duration = TimeDelta::seconds(600);
+    p.bottleneck_bw = Rate::kilobytes_per_sec(400);
+    p.arrival_rate_hz = 0.8;
+    p.mean_session = TimeDelta::seconds(45);
+    p.flash_crowd_at = TimeDelta::seconds(120);
+    p.flash_crowd_arrivals = 40;
+    p.mass_departure_at = TimeDelta::seconds(300);
+    p.mass_departure_fraction = 0.5;
+  } else if (name == "overload") {
+    // Offered load well beyond what the quality model admits: the
+    // admission-on/off contrast experiment.
+    p.slots = 24;
+    p.duration = TimeDelta::seconds(180);
+    p.bottleneck_bw = Rate::kilobytes_per_sec(50);
+    p.arrival_rate_hz = 0.5;
+    p.mean_session = TimeDelta::seconds(60);
+  } else {
+    throw std::invalid_argument(
+        invalid_choice("--preset", name, {"smoke", "churn500", "overload"}));
+  }
+  return p;
+}
 
 FarmResult run_farm(const FarmParams& params) { return Farm(params).run(); }
 

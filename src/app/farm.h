@@ -116,6 +116,13 @@ struct FarmParams {
   // evaluation-tier hook: qa_slo drives a TimeSeriesRecorder + SloEngine
   // on the farm's own deterministic sample grid through it.
   std::function<void(TimePoint)> on_sample;
+
+  // The named scenarios qa_farm and qa_slo run (--preset): "smoke" (16
+  // slots, 60 s), "churn500" (~500 join attempts over 96 slots with a
+  // flash crowd and a mass departure) and "overload" (offered load far
+  // beyond what the quality model admits). Throws std::invalid_argument
+  // with the invalid_choice() message for any other name.
+  static FarmParams preset(const std::string& name);
 };
 
 // One aggregate sample (the farm.csv row).

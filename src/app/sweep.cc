@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "util/csv.h"
+#include "util/flags.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -95,6 +96,27 @@ SweepRow run_point(const SweepGrid& grid, size_t index) {
 }
 
 }  // namespace
+
+SweepGrid SweepGrid::preset(const std::string& name) {
+  SweepGrid grid;
+  grid.base.rap_flows = 2;
+  grid.base.tcp_flows = 2;
+  grid.base.duration_sec = 20;
+  if (name.empty()) return grid;
+  if (name == "fig12") {
+    grid.kmax = {1, 2, 3, 4};
+    grid.seeds = {1, 2, 3, 4, 5};
+    grid.base.duration_sec = 40;
+  } else if (name == "fig13") {
+    grid.kmax = {1, 2, 3, 4};
+    grid.seeds = {1, 2, 3};
+    grid.base = ExperimentParams::t2(/*kmax=*/4, /*seed=*/1);
+  } else {
+    throw std::invalid_argument(
+        invalid_choice("--preset", name, {"fig12", "fig13"}));
+  }
+  return grid;
+}
 
 size_t SweepGrid::size() const {
   check_axes(*this);
@@ -313,52 +335,6 @@ void write_sweep_artifacts(const std::vector<SweepRow>& rows,
   }
   json += "\n}\n";
   write_text_file(out_dir + "/sweep.json", json);
-}
-
-namespace {
-
-template <typename T, typename Conv>
-std::vector<T> parse_list(const std::string& s, Conv conv) {
-  std::vector<T> out;
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    const size_t comma = std::min(s.find(',', pos), s.size());
-    const std::string token = s.substr(pos, comma - pos);
-    if (token.empty()) throw std::invalid_argument("empty list element");
-    size_t used = 0;
-    out.push_back(conv(token, &used));
-    if (used != token.size()) {
-      throw std::invalid_argument("trailing characters in '" + token + "'");
-    }
-    pos = comma + 1;
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<double> parse_double_list(const std::string& s) {
-  return parse_list<double>(
-      s, [](const std::string& t, size_t* used) { return std::stod(t, used); });
-}
-
-std::vector<int> parse_int_list(const std::string& s) {
-  return parse_list<int>(s, [](const std::string& t, size_t* used) {
-    return std::stoi(t, used);
-  });
-}
-
-std::vector<uint64_t> parse_u64_list(const std::string& s) {
-  return parse_list<uint64_t>(s, [](const std::string& t, size_t* used) {
-    return static_cast<uint64_t>(std::stoull(t, used));
-  });
-}
-
-std::vector<cc::Backend> parse_backend_list(const std::string& s) {
-  return parse_list<cc::Backend>(s, [](const std::string& t, size_t* used) {
-    *used = t.size();  // parse_backend consumes the whole token or throws
-    return cc::parse_backend(t);
-  });
 }
 
 }  // namespace qa::app

@@ -60,6 +60,14 @@ struct SweepGrid {
   // the axes in declaration order, seeds slowest). Includes the derived
   // per-job seed.
   ExperimentParams params_at(size_t index) const;
+
+  // The grids the sweep tools run (--preset). "" is their default: one
+  // point of a small contended dumbbell (2 RAP + 2 TCP flows, 20 s).
+  // "fig12" is figure 12's quality stability vs Kmax 1-4 over 5 seeds
+  // (40 s runs); "fig13" is figure 13's Kmax 1-4 x 3 seeds under the T2
+  // CBR step. Throws std::invalid_argument with the invalid_choice()
+  // message for any other name.
+  static SweepGrid preset(const std::string& name);
 };
 
 // Per-job seed: SplitMix64 chained over the base seed and the point's axis
@@ -148,14 +156,5 @@ uint64_t sweep_digest(const std::vector<SweepRow>& rows);
 // Writes sweep.csv + sweep.json into out_dir (which must exist).
 void write_sweep_artifacts(const std::vector<SweepRow>& rows,
                            const std::string& out_dir);
-
-// Comma-separated axis parsing for the qa_sweep CLI ("2,3,4").  Throws
-// std::invalid_argument on malformed input or an empty list.
-std::vector<double> parse_double_list(const std::string& s);
-std::vector<int> parse_int_list(const std::string& s);
-std::vector<uint64_t> parse_u64_list(const std::string& s);
-// Backend names ("rap,tfrc"); each element goes through cc::parse_backend,
-// so an unknown name throws listing the valid values.
-std::vector<cc::Backend> parse_backend_list(const std::string& s);
 
 }  // namespace qa::app

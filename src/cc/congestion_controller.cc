@@ -1,7 +1,5 @@
 #include "cc/congestion_controller.h"
 
-#include <stdexcept>
-
 namespace qa::cc {
 
 const char* to_string(Backend b) {
@@ -16,32 +14,10 @@ const char* to_string(Backend b) {
   return "unknown";
 }
 
-const std::vector<std::string>& backend_names() {
-  static const std::vector<std::string> kNames = [] {
-    std::vector<std::string> names;
-    for (const Backend b : all_backends()) names.emplace_back(to_string(b));
-    return names;
-  }();
-  return kNames;
-}
-
 const std::vector<Backend>& all_backends() {
   static const std::vector<Backend> kAll = {Backend::kRap, Backend::kTfrc,
                                             Backend::kNada};
   return kAll;
-}
-
-Backend parse_backend(const std::string& name) {
-  for (const Backend b : all_backends()) {
-    if (name == to_string(b)) return b;
-  }
-  std::string valid;
-  for (const auto& n : backend_names()) {
-    if (!valid.empty()) valid += ", ";
-    valid += n;
-  }
-  throw std::invalid_argument("unknown backend '" + name +
-                              "' (valid values: " + valid + ")");
 }
 
 }  // namespace qa::cc

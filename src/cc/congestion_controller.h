@@ -49,11 +49,6 @@ enum class Backend {
 
 // Canonical lowercase names ("rap", "tfrc", "nada").
 const char* to_string(Backend b);
-// All valid names, in enum order (for usage strings and error messages).
-const std::vector<std::string>& backend_names();
-// Parses a backend name; throws std::invalid_argument naming the valid
-// values on anything else.
-Backend parse_backend(const std::string& name);
 // All backends, in enum order (for test parameterization and sweep axes).
 const std::vector<Backend>& all_backends();
 

@@ -11,11 +11,4 @@ const char* policy_name(AllocationPolicy policy) {
   return "?";
 }
 
-std::optional<AllocationPolicy> parse_policy(const std::string& name) {
-  for (AllocationPolicy p : kAllPolicies) {
-    if (name == policy_name(p)) return p;
-  }
-  return std::nullopt;
-}
-
 }  // namespace qa::core

@@ -2,11 +2,8 @@
 //
 // The strawmen themselves are implemented inside filling_policy /
 // draining_policy behind the AllocationPolicy enum; this header provides
-// naming/parsing for benches, examples and reports.
+// naming for benches, examples and reports.
 #pragma once
-
-#include <optional>
-#include <string>
 
 #include "core/filling_policy.h"
 
@@ -14,9 +11,6 @@ namespace qa::core {
 
 // "optimal", "equal-share", "base-only".
 const char* policy_name(AllocationPolicy policy);
-
-// Inverse of policy_name; nullopt for unknown names.
-std::optional<AllocationPolicy> parse_policy(const std::string& name);
 
 // All policies, for sweep-style benches.
 inline constexpr AllocationPolicy kAllPolicies[] = {

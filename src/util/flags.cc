@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cstdio>
 #include <cstdlib>
 
 namespace qa {
@@ -72,6 +73,16 @@ std::vector<std::string> Flags::unused() const {
     if (queried_.count(name) == 0) out.push_back(name);
   }
   return out;
+}
+
+void exit_on_unknown_flags(const Flags& flags, void (*usage)(), int status) {
+  const auto unused = flags.unused();
+  if (unused.empty()) return;
+  for (const auto& name : unused) {
+    std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+  }
+  usage();
+  std::exit(status);
 }
 
 std::string invalid_choice(const std::string& flag, const std::string& got,

@@ -37,6 +37,11 @@ class Flags {
   std::vector<std::string> positional_;
 };
 
+// The typo gate every tool runs after its last read: prints "unknown flag
+// --NAME" to stderr for each flag nothing read, then `usage()`, and exits
+// with `status`. Returns only when every flag was read.
+void exit_on_unknown_flags(const Flags& flags, void (*usage)(), int status = 1);
+
 // The canonical diagnostic for an enumerated flag set to something outside
 // its value set: "unknown --preset 'fig99' (valid values: fig12, fig13)".
 // Every tool routes its --preset/--backend rejections through this so the

@@ -230,18 +230,5 @@ TEST(SweepTest, ArtifactsRoundTripThroughRundiff) {
   EXPECT_EQ(lines, 1 + grid.size());
 }
 
-TEST(SweepTest, ListParsers) {
-  EXPECT_EQ(parse_int_list("1,2,3"), (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(parse_u64_list("7"), (std::vector<uint64_t>{7}));
-  const std::vector<double> d = parse_double_list("0.5,1e3");
-  ASSERT_EQ(d.size(), 2u);
-  EXPECT_DOUBLE_EQ(d[0], 0.5);
-  EXPECT_DOUBLE_EQ(d[1], 1000.0);
-  EXPECT_THROW(parse_int_list(""), std::invalid_argument);
-  EXPECT_THROW(parse_int_list("1,,2"), std::invalid_argument);
-  EXPECT_THROW(parse_int_list("1,x"), std::invalid_argument);
-  EXPECT_THROW(parse_double_list("1.5mm"), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace qa::app

@@ -26,6 +26,7 @@
 #include "app/experiment.h"
 #include "app/session.h"
 #include "app/sweep.h"
+#include "app/tool_flags.h"
 #include "cc/congestion_controller.h"
 #include "sim/fault.h"
 #include "sim/topology.h"
@@ -208,16 +209,23 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(cc::to_string(param_info.param));
     });
 
-// The backend name round-trip every CLI goes through: each backend parses
-// back from its own name, and an unknown name is rejected with a message
-// that lists what the user could have typed.
+// The backend name round-trip every CLI goes through (app/tool_flags):
+// each backend parses back from its own name, and an unknown name is
+// rejected with a message that lists what the user could have typed.
 TEST(BackendParsing, RoundTripsAndRejectsWithValidValues) {
+  const auto read_backend = [](const std::string& name) {
+    const std::string arg = "--backend=" + name;
+    const char* argv[] = {"prog", arg.c_str()};
+    ExperimentParams p;
+    read_experiment_flags(Flags(2, argv), &p);
+    return p.backend;
+  };
   for (const cc::Backend b : cc::all_backends()) {
-    EXPECT_EQ(cc::parse_backend(std::string(cc::to_string(b))), b);
+    EXPECT_EQ(read_backend(cc::to_string(b)), b);
   }
   try {
-    cc::parse_backend("cubic");
-    FAIL() << "parse_backend accepted an unknown name";
+    read_backend("cubic");
+    FAIL() << "--backend accepted an unknown name";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("cubic"), std::string::npos) << msg;
@@ -228,13 +236,21 @@ TEST(BackendParsing, RoundTripsAndRejectsWithValidValues) {
 
   // The sweep's list form: parses multi-backend axes, rejects unknowns
   // and empty elements.
-  const std::vector<cc::Backend> axis = parse_backend_list("rap,nada");
+  const auto read_axis = [](const std::string& list) {
+    const std::string arg = "--backends=" + list;
+    const char* argv[] = {"prog", arg.c_str()};
+    SweepGrid grid;
+    SweepOptions opts;
+    read_sweep_flags(Flags(2, argv), &grid, &opts);
+    return grid.backends;
+  };
+  const std::vector<cc::Backend> axis = read_axis("rap,nada");
   ASSERT_EQ(axis.size(), 2u);
   EXPECT_EQ(axis[0], cc::Backend::kRap);
   EXPECT_EQ(axis[1], cc::Backend::kNada);
-  EXPECT_THROW(parse_backend_list("rap,,nada"), std::invalid_argument);
-  EXPECT_THROW(parse_backend_list("bbr"), std::invalid_argument);
-  EXPECT_THROW(parse_backend_list(""), std::invalid_argument);
+  EXPECT_THROW(read_axis("rap,,nada"), std::invalid_argument);
+  EXPECT_THROW(read_axis("bbr"), std::invalid_argument);
+  EXPECT_THROW(read_axis(""), std::invalid_argument);
 }
 
 // The backend axis itself: distinct backends occupy distinct grid

@@ -72,14 +72,7 @@ int main(int argc, char** argv) {
   const bool verbose = flags.get_bool("verbose", false);
   const std::string out_dir = flags.get_or("out-dir", "");
 
-  const auto unused = flags.unused();
-  if (!unused.empty()) {
-    for (const auto& u : unused) {
-      std::fprintf(stderr, "unknown flag --%s\n", u.c_str());
-    }
-    usage();
-    return 1;
-  }
+  exit_on_unknown_flags(flags, usage);
 
   std::unique_ptr<CsvWriter> csv;
   if (!out_dir.empty()) {

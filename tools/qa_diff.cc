@@ -59,14 +59,7 @@ int main(int argc, char** argv) {
   }
   const bool print_digest = flags.get_bool("print-digest", false);
 
-  const auto unused = flags.unused();
-  if (!unused.empty()) {
-    for (const auto& u : unused) {
-      std::fprintf(stderr, "unknown flag --%s\n", u.c_str());
-    }
-    usage();
-    return 2;
-  }
+  exit_on_unknown_flags(flags, usage, 2);
   const auto& positional = flags.positional();
   if (positional.size() != 2) {
     std::fprintf(stderr, "qa_diff: expected exactly two runs to compare\n");

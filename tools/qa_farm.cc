@@ -13,12 +13,13 @@
 // manifest.json. --print-digest prints the canonical run digest; two runs
 // with the same seed and parameters print the same value.
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <memory>
 #include <string>
 
 #include "app/farm.h"
-#include "app/obs_flags.h"
+#include "app/tool_flags.h"
 #include "util/chrome_trace.h"
 #include "util/flags.h"
 #include "util/flightrec.h"
@@ -33,82 +34,15 @@ namespace {
 void usage() {
   std::printf(
       "qa_farm [flags]\n"
-      "  --preset NAME         smoke | churn500 | overload (default smoke)\n"
-      "  --backend NAME        session congestion control: rap, tfrc, or\n"
-      "                        nada (default rap)\n"
-      "  --seed N              farm seed (default 1)\n"
-      "  --slots N             concurrent-session capacity\n"
-      "  --duration-s SECS     simulated duration\n"
-      "  --bottleneck-kbps K   shared bottleneck bandwidth\n"
-      "  --rtt-ms MS           base round-trip propagation\n"
-      "  --layers N            stream layers\n"
-      "  --layer-rate BPS      per-layer consumption C (bytes/s)\n"
-      "  --packet-size B       data packet size\n"
-      "  --arrival-rate HZ     Poisson arrival rate\n"
-      "  --mean-session-s SECS mean exponential session lifetime\n"
-      "  --flash-crowd-at SECS flash-crowd instant (<0 disables)\n"
-      "  --flash-crowd-n N     arrivals in the flash crowd\n"
-      "  --mass-departure-at SECS  mass-departure instant (<0 disables)\n"
-      "  --mass-departure-frac F   fraction of active sessions departing\n"
-      "  --outage-at SECS      bottleneck outage start (<0 disables)\n"
-      "  --outage-s SECS       outage duration\n"
-      "  --sample-dt SECS      aggregate sampling period (default 0.5)\n"
-      "  --no-admission        disable the admission controller\n"
-      "  --no-ladder           disable the load-shedding ladder\n"
-      "  --print-digest        print the canonical run digest\n"
-      "  --trace               also write trace.json (admission verdicts,\n"
-      "                        shed-ladder rung, farm counter tracks)\n"
-      "  --flightrec-events N  flight-recorder ring size (default 1024)\n"
-      "  --no-flightrec        skip the crash-time flight recorder\n"
-      "  --out-dir DIR         write farm.csv, metrics.{csv,json}, "
-      "manifest.json\n");
-}
-
-FarmParams preset_params(const std::string& preset) {
-  FarmParams p;
-  if (preset == "smoke") {
-    p.slots = 16;
-    p.duration = TimeDelta::seconds(60);
-    p.bottleneck_bw = Rate::kilobytes_per_sec(100);
-    p.stream_layers = 4;
-    p.layer_rate = Rate::kilobytes_per_sec(2.5);
-    p.packet_size = 500;
-    p.arrival_rate_hz = 0.4;
-    p.mean_session = TimeDelta::seconds(25);
-  } else if (preset == "churn500") {
-    // ~500 join attempts over the run: sized for the determinism
-    // acceptance check (same seed => digest-identical).
-    p.slots = 96;
-    p.duration = TimeDelta::seconds(600);
-    p.bottleneck_bw = Rate::kilobytes_per_sec(400);
-    p.stream_layers = 4;
-    p.layer_rate = Rate::kilobytes_per_sec(2.5);
-    p.packet_size = 500;
-    p.arrival_rate_hz = 0.8;
-    p.mean_session = TimeDelta::seconds(45);
-    p.flash_crowd_at = TimeDelta::seconds(120);
-    p.flash_crowd_arrivals = 40;
-    p.mass_departure_at = TimeDelta::seconds(300);
-    p.mass_departure_fraction = 0.5;
-  } else if (preset == "overload") {
-    // Offered load well beyond what the quality model admits: the
-    // admission-on/off contrast experiment.
-    p.slots = 24;
-    p.duration = TimeDelta::seconds(180);
-    p.bottleneck_bw = Rate::kilobytes_per_sec(50);
-    p.stream_layers = 4;
-    p.layer_rate = Rate::kilobytes_per_sec(2.5);
-    p.packet_size = 500;
-    p.arrival_rate_hz = 0.5;
-    p.mean_session = TimeDelta::seconds(60);
-  } else {
-    std::fprintf(stderr, "qa_farm: %s\n",
-                 invalid_choice("--preset", preset,
-                                {"smoke", "churn500", "overload"})
-                     .c_str());
-    std::exit(1);
-  }
-  return p;
+      "%s"
+      "  --print-digest         print the canonical run digest\n"
+      "  --trace                also write trace.json (admission verdicts,\n"
+      "                         shed-ladder rung, farm counter tracks)\n"
+      "  --flightrec-events N   flight-recorder ring size (default 1024)\n"
+      "  --no-flightrec         skip the crash-time flight recorder\n"
+      "  --out-dir DIR          write farm.csv, metrics.{csv,json}, "
+      "manifest.json\n",
+      farm_flags_usage(FarmParams::preset("smoke")).c_str());
 }
 
 }  // namespace
@@ -120,59 +54,18 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  FarmParams p = preset_params(flags.get_or("preset", "smoke"));
-  if (flags.has("backend")) {
-    try {
-      p.backend = cc::parse_backend(flags.get_or("backend", "rap"));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "qa_farm: %s\n", e.what());
-      return 1;
-    }
+  FarmParams p = FarmParams::preset("smoke");
+  try {
+    read_farm_flags(flags, &p);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "qa_farm: %s\n", e.what());
+    return 1;
   }
-  p.seed = static_cast<uint64_t>(flags.get_int("seed", 1));
-  p.slots = static_cast<int>(flags.get_int("slots", p.slots));
-  p.duration =
-      TimeDelta::from_sec(flags.get_double("duration-s", p.duration.sec()));
-  p.bottleneck_bw = Rate::kilobits_per_sec(
-      flags.get_double("bottleneck-kbps", p.bottleneck_bw.kbps()));
-  p.rtt = TimeDelta::from_sec(
-      flags.get_double("rtt-ms", p.rtt.sec() * 1000.0) / 1000.0);
-  p.stream_layers = static_cast<int>(flags.get_int("layers", p.stream_layers));
-  p.layer_rate =
-      Rate::bytes_per_sec(flags.get_double("layer-rate", p.layer_rate.bps()));
-  p.packet_size =
-      static_cast<int32_t>(flags.get_int("packet-size", p.packet_size));
-  p.arrival_rate_hz = flags.get_double("arrival-rate", p.arrival_rate_hz);
-  p.mean_session = TimeDelta::from_sec(
-      flags.get_double("mean-session-s", p.mean_session.sec()));
-  p.flash_crowd_at = TimeDelta::from_sec(
-      flags.get_double("flash-crowd-at", p.flash_crowd_at.sec()));
-  p.flash_crowd_arrivals = static_cast<int>(
-      flags.get_int("flash-crowd-n", p.flash_crowd_arrivals));
-  p.mass_departure_at = TimeDelta::from_sec(
-      flags.get_double("mass-departure-at", p.mass_departure_at.sec()));
-  p.mass_departure_fraction =
-      flags.get_double("mass-departure-frac", p.mass_departure_fraction);
-  p.outage_at =
-      TimeDelta::from_sec(flags.get_double("outage-at", p.outage_at.sec()));
-  p.outage = TimeDelta::from_sec(flags.get_double("outage-s", p.outage.sec()));
-  p.sample_dt =
-      TimeDelta::from_sec(flags.get_double("sample-dt", p.sample_dt.sec()));
-  p.admission_enabled = !flags.get_bool("no-admission", false);
-  p.ladder_enabled = !flags.get_bool("no-ladder", false);
   const bool print_digest = flags.get_bool("print-digest", false);
   const bool want_trace = flags.get_bool("trace", false);
   const FlightRecFlags fr = flightrec_flags(flags);
   const std::string out_dir = flags.get_or("out-dir", "");
-
-  const auto unused = flags.unused();
-  if (!unused.empty()) {
-    for (const auto& u : unused) {
-      std::fprintf(stderr, "unknown flag --%s\n", u.c_str());
-    }
-    usage();
-    return 1;
-  }
+  exit_on_unknown_flags(flags, usage);
 
   MetricsRegistry registry;
   std::unique_ptr<FlightRecorder> flightrec;

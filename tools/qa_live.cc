@@ -31,11 +31,10 @@
 #include <vector>
 
 #include "app/experiment.h"
-#include "app/obs_flags.h"
 #include "app/observability.h"
 #include "app/sweep.h"
+#include "app/tool_flags.h"
 #include "util/flags.h"
-#include "util/host.h"
 #include "util/http_sse.h"
 #include "util/json.h"
 
@@ -62,24 +61,15 @@ void usage() {
       "  --self-check           probe /metrics, /events, and / from a\n"
       "                         client thread; exit nonzero on failure\n"
       "  Scenario (as qa_trace):\n"
-      "  --duration-s SECS      run length (default 20)\n"
-      "  --seed N               RNG seed (default 1)\n"
-      "  --bottleneck-kbps K    bottleneck bandwidth (default 240)\n"
-      "  --layer-rate BPS       per-layer consumption C (default 10000)\n"
-      "  --layers N             stream layers (default 8)\n"
-      "  --kmax N               max backoffs survivable (default 1)\n"
-      "  --rap-flows N          RAP flows incl. the QA one (default 1)\n"
-      "  --tcp-flows N          competing TCP flows (default 0)\n"
-      "  --faults N             random fault-schedule intensity (default 0)\n"
+      "%s"
       "  --out-dir DIR          also write the qa_trace artifact bundle\n"
       "%s"
-      "  Sweep mode (axis lists as qa_sweep):\n"
-      "  --sweep                run a grid instead of one scenario\n"
-      "  --seeds LIST           base RNG seeds (default 1)\n"
-      "  --jobs N               worker threads (default: host cores)\n"
-      "  (--kmax/--bottleneck-kbps/--faults accept comma lists here;\n"
-      "   --rtt-ms and --loss add the remaining axes)\n",
-      observability_flags_usage());
+      "  Sweep mode (--sweep: run a grid instead of one scenario; the flags\n"
+      "  of qa_sweep):\n"
+      "%s",
+      experiment_flags_usage(ExperimentParams::fig2()).c_str(),
+      observability_flags_usage(),
+      sweep_flags_usage(SweepGrid::preset("")).c_str());
 }
 
 // The console page: plain HTML + inline script, no external assets. It
@@ -253,7 +243,7 @@ std::function<void(TimePoint)> make_pacer(double pace) {
 // ---- Flag parsing (before the server starts, so typos fail fast) -----------
 
 struct ScenarioSpec {
-  ExperimentParams params;
+  ExperimentParams params = ExperimentParams::fig2();
   ObservabilityConfig ocfg;
   std::string out_dir;
 };
@@ -261,17 +251,7 @@ struct ScenarioSpec {
 ScenarioSpec parse_scenario(const Flags& flags) {
   ScenarioSpec s;
   s.out_dir = flags.get_or("out-dir", "");
-  s.params.rap_flows = static_cast<int>(flags.get_int("rap-flows", 1));
-  s.params.tcp_flows = static_cast<int>(flags.get_int("tcp-flows", 0));
-  s.params.duration_sec = flags.get_double("duration-s", 20.0);
-  s.params.seed = static_cast<uint64_t>(flags.get_int("seed", 1));
-  s.params.bottleneck =
-      Rate::kilobits_per_sec(flags.get_double("bottleneck-kbps", 240.0));
-  s.params.layer_rate =
-      Rate::bytes_per_sec(flags.get_double("layer-rate", 10'000.0));
-  s.params.stream_layers = static_cast<int>(flags.get_int("layers", 8));
-  s.params.kmax = static_cast<int>(flags.get_int("kmax", 1));
-  s.params.random_faults = static_cast<int>(flags.get_int("faults", 0));
+  read_experiment_flags(flags, &s.params);
 
   s.ocfg = observability_flags(flags, s.out_dir);
   s.ocfg.live.cadence =
@@ -281,37 +261,6 @@ ScenarioSpec parse_scenario(const Flags& flags) {
   // replay the exact same event sequence as a served run, so only the
   // client connection may differ between digest-compared runs.
   s.ocfg.live.pacer = make_pacer(flags.get_double("pace", 1.0));
-  return s;
-}
-
-struct SweepSpec {
-  SweepGrid grid;
-  SweepOptions opts;
-};
-
-SweepSpec parse_sweep(const Flags& flags) {
-  SweepSpec s;
-  s.grid.base.rap_flows =
-      static_cast<int>(flags.get_int("rap-flows", 2));
-  s.grid.base.tcp_flows =
-      static_cast<int>(flags.get_int("tcp-flows", 2));
-  s.grid.base.duration_sec = flags.get_double("duration-s", 20.0);
-  s.grid.base.stream_layers =
-      static_cast<int>(flags.get_int("layers", s.grid.base.stream_layers));
-  s.grid.base.layer_rate = Rate::bytes_per_sec(
-      flags.get_double("layer-rate", s.grid.base.layer_rate.bps()));
-
-  if (auto v = flags.get("seeds")) s.grid.seeds = parse_u64_list(*v);
-  if (auto v = flags.get("kmax")) s.grid.kmax = parse_int_list(*v);
-  if (auto v = flags.get("bottleneck-kbps")) {
-    s.grid.bottleneck_kbps = parse_double_list(*v);
-  }
-  if (auto v = flags.get("rtt-ms")) s.grid.rtt_ms = parse_double_list(*v);
-  if (auto v = flags.get("loss")) s.grid.loss_rate = parse_double_list(*v);
-  if (auto v = flags.get("faults")) s.grid.faults = parse_int_list(*v);
-
-  s.opts.jobs = static_cast<int>(flags.get_int("jobs", host_cpu_count()));
-  s.opts.out_dir = flags.get_or("out-dir", "");
   return s;
 }
 
@@ -439,21 +388,21 @@ struct SweepProgress {
   std::vector<uint8_t> cells;
 };
 
-int run_sweep_mode(SweepSpec spec, LiveFeed* feed, SweepProgress* progress,
-                   int argc, char** argv) {
-  if (!spec.opts.out_dir.empty()) {
-    std::filesystem::create_directories(spec.opts.out_dir);
+int run_sweep_mode(const SweepGrid& grid, SweepOptions opts, LiveFeed* feed,
+                   SweepProgress* progress, int argc, char** argv) {
+  if (!opts.out_dir.empty()) {
+    std::filesystem::create_directories(opts.out_dir);
   }
   {
     std::lock_guard<std::mutex> lock(progress->mu);
-    progress->total = spec.grid.size();
+    progress->total = grid.size();
     progress->cells.assign(progress->total, 0);
     progress->cols = 1;
     while (progress->cols * progress->cols < progress->total) ++progress->cols;
   }
   // Worker threads land here concurrently; the mutex covers the counters
   // and publish_event is itself thread-safe.
-  spec.opts.on_job_start = [feed, progress](size_t index) {
+  opts.on_job_start = [feed, progress](size_t index) {
     size_t total;
     {
       std::lock_guard<std::mutex> lock(progress->mu);
@@ -467,7 +416,7 @@ int run_sweep_mode(SweepSpec spec, LiveFeed* feed, SweepProgress* progress,
         "{\"index\": " + json_number(static_cast<int64_t>(index)) +
             ", \"total\": " + json_number(static_cast<int64_t>(total)) + "}");
   };
-  spec.opts.on_progress = [feed, progress](const SweepRow& row, size_t done,
+  opts.on_progress = [feed, progress](const SweepRow& row, size_t done,
                                            size_t total) {
     {
       std::lock_guard<std::mutex> lock(progress->mu);
@@ -486,7 +435,7 @@ int run_sweep_mode(SweepSpec spec, LiveFeed* feed, SweepProgress* progress,
             ", \"mean_layers\": " + json_number(row.mean_layers) + "}");
   };
 
-  const SweepResult result = run_sweep(spec.grid, spec.opts);
+  const SweepResult result = run_sweep(grid, opts);
 
   int failed = 0;
   for (const auto& r : result.rows) {
@@ -497,14 +446,14 @@ int run_sweep_mode(SweepSpec spec, LiveFeed* feed, SweepProgress* progress,
               result.rows.size(), result.grid_size, result.jobs,
               result.wall_s, failed,
               static_cast<unsigned long long>(feed->events_published()));
-  if (!spec.opts.out_dir.empty()) {
+  if (!opts.out_dir.empty()) {
     RunManifest manifest;
     manifest.set("tool", "qa_live");
     manifest.set_args(argc, argv);
     manifest.set_int("grid_size", static_cast<int64_t>(result.grid_size));
     manifest.set_int("failed", failed);
     manifest.set_number("wall_s", result.wall_s);
-    manifest.write_json(spec.opts.out_dir + "/manifest.json");
+    manifest.write_json(opts.out_dir + "/manifest.json");
   }
   return failed == 0 ? 0 : 2;
 }
@@ -531,20 +480,14 @@ int main(int argc, char** argv) {
 
   try {
     ScenarioSpec scenario;
-    SweepSpec sweep;
+    SweepGrid grid = SweepGrid::preset("");
+    SweepOptions sweep_opts;
     if (sweep_mode) {
-      sweep = parse_sweep(flags);
+      read_sweep_flags(flags, &grid, &sweep_opts);
     } else {
       scenario = parse_scenario(flags);
     }
-    const auto unused = flags.unused();
-    if (!unused.empty()) {
-      for (const auto& u : unused) {
-        std::fprintf(stderr, "unknown flag --%s\n", u.c_str());
-      }
-      usage();
-      return 1;
-    }
+    exit_on_unknown_flags(flags, usage);
 
     LiveFeed feed;
     SweepProgress progress;
@@ -607,7 +550,8 @@ int main(int argc, char** argv) {
 
     const int rc =
         sweep_mode
-            ? run_sweep_mode(std::move(sweep), &feed, &progress, argc, argv)
+            ? run_sweep_mode(grid, std::move(sweep_opts), &feed, &progress,
+                             argc, argv)
             : run_scenario(std::move(scenario), &feed, !no_serve, argc, argv);
 
     feed.publish_event("run.done", "{}");

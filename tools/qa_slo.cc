@@ -29,12 +29,15 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/experiment.h"
 #include "app/farm.h"
 #include "app/observability.h"
+#include "app/tool_flags.h"
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/manifest.h"
@@ -50,33 +53,26 @@ namespace {
 void usage() {
   std::printf(
       "qa_slo [flags]\n"
-      "  --scenario NAME       farm | fig2 (default farm)\n"
-      "  --preset NAME         farm preset: smoke | churn500 | overload\n"
-      "                        (default smoke; farm scenario only)\n"
-      "  --backend NAME        session congestion control: rap, tfrc, or\n"
-      "                        nada (default rap; farm scenario only)\n"
-      "  --spec FILE           SLO spec JSON (default: built-in per-scenario\n"
-      "                        objectives)\n"
-      "  --eval DIR            replay DIR's timeseries.json offline instead\n"
-      "                        of running a scenario (grid + objectives are\n"
-      "                        reconstructed from DIR's artifacts)\n"
-      "  --seed N              scenario seed (default 1)\n"
-      "  --duration-s SECS     simulated duration (preset default)\n"
-      "  --slots N             farm concurrent-session capacity\n"
-      "  --bottleneck-kbps K   bottleneck bandwidth\n"
-      "  --arrival-rate HZ     farm Poisson arrival rate\n"
-      "  --mean-session-s SECS farm mean session lifetime\n"
-      "  --sample-dt SECS      farm sample/evaluation period (default 0.5)\n"
-      "  --cadence-s SECS      fig2 evaluation cadence (default 0.1)\n"
-      "  --no-admission        farm: disable the admission controller\n"
-      "  --no-ladder           farm: disable the load-shedding ladder\n"
-      "  --select LIST         extra recorder selectors, comma-separated\n"
-      "                        (objective series are always recorded)\n"
-      "  --out-dir DIR         write alerts.json slo.json slo_spec.json\n"
-      "                        timeseries.{csv,json} breach_report.txt\n"
-      "                        manifest.json\n"
-      "  --print-digest        print the alert timeline digest\n"
-      "  exit: 0 within SLO, 1 breached, 2 error\n");
+      "  --scenario NAME        farm | fig2 (default farm)\n"
+      "  --spec FILE            SLO spec JSON (default: built-in per-scenario\n"
+      "                         objectives)\n"
+      "  --eval DIR             replay DIR's timeseries.json offline instead\n"
+      "                         of running a scenario (grid + objectives are\n"
+      "                         reconstructed from DIR's artifacts)\n"
+      "  --select LIST          extra recorder selectors, comma-separated\n"
+      "                         (objective series are always recorded)\n"
+      "  --out-dir DIR          write alerts.json slo.json slo_spec.json\n"
+      "                         timeseries.{csv,json} breach_report.txt\n"
+      "                         manifest.json\n"
+      "  --print-digest         print the alert timeline digest\n"
+      "  exit: 0 within SLO, 1 breached, 2 error\n"
+      "  Farm scenario (the flags of qa_farm):\n"
+      "%s"
+      "  fig2 scenario (the flags of qa_trace):\n"
+      "%s"
+      "  --cadence-s SECS       evaluation cadence (default 0.1)\n",
+      farm_flags_usage(FarmParams::preset("smoke")).c_str(),
+      experiment_flags_usage(ExperimentParams::fig2()).c_str());
 }
 
 // Built-in objectives. The farm spec is calibrated against the qa_farm
@@ -153,79 +149,18 @@ GateResult finish_gate(const SloEngine& engine, const TimeSeriesRecorder& rec,
   return GateResult{engine.breached(), engine.timeline_digest()};
 }
 
-// Mirrors the qa_farm presets (tools/qa_farm.cc) so "qa_slo --preset
-// churn500" gates the same scenario qa_farm measures.
-FarmParams farm_preset(const std::string& preset) {
-  FarmParams p;
-  if (preset == "smoke") {
-    p.slots = 16;
-    p.duration = TimeDelta::seconds(60);
-    p.bottleneck_bw = Rate::kilobytes_per_sec(100);
-    p.stream_layers = 4;
-    p.layer_rate = Rate::kilobytes_per_sec(2.5);
-    p.packet_size = 500;
-    p.arrival_rate_hz = 0.4;
-    p.mean_session = TimeDelta::seconds(25);
-  } else if (preset == "churn500") {
-    p.slots = 96;
-    p.duration = TimeDelta::seconds(600);
-    p.bottleneck_bw = Rate::kilobytes_per_sec(400);
-    p.stream_layers = 4;
-    p.layer_rate = Rate::kilobytes_per_sec(2.5);
-    p.packet_size = 500;
-    p.arrival_rate_hz = 0.8;
-    p.mean_session = TimeDelta::seconds(45);
-    p.flash_crowd_at = TimeDelta::seconds(120);
-    p.flash_crowd_arrivals = 40;
-    p.mass_departure_at = TimeDelta::seconds(300);
-    p.mass_departure_fraction = 0.5;
-  } else if (preset == "overload") {
-    p.slots = 24;
-    p.duration = TimeDelta::seconds(180);
-    p.bottleneck_bw = Rate::kilobytes_per_sec(50);
-    p.stream_layers = 4;
-    p.layer_rate = Rate::kilobytes_per_sec(2.5);
-    p.packet_size = 500;
-    p.arrival_rate_hz = 0.5;
-    p.mean_session = TimeDelta::seconds(60);
-  } else {
-    throw std::runtime_error(
-        invalid_choice("--preset", preset, {"smoke", "churn500", "overload"}));
-  }
-  return p;
-}
-
-GateResult run_farm_mode(const Flags& flags,
+GateResult run_farm_mode(FarmParams p,
                          const std::vector<SloObjective>& objectives,
+                         const std::vector<std::string>& selectors,
                          const std::string& spec_text,
                          const std::string& out_dir, int argc, char** argv) {
-  FarmParams p = farm_preset(flags.get_or("preset", "smoke"));
-  if (flags.has("backend")) {
-    p.backend = cc::parse_backend(flags.get_or("backend", "rap"));
-  }
-  p.seed = static_cast<uint64_t>(flags.get_int("seed", 1));
-  p.slots = static_cast<int>(flags.get_int("slots", p.slots));
-  p.duration =
-      TimeDelta::from_sec(flags.get_double("duration-s", p.duration.sec()));
-  p.bottleneck_bw = Rate::kilobits_per_sec(
-      flags.get_double("bottleneck-kbps", p.bottleneck_bw.kbps()));
-  p.arrival_rate_hz = flags.get_double("arrival-rate", p.arrival_rate_hz);
-  p.mean_session = TimeDelta::from_sec(
-      flags.get_double("mean-session-s", p.mean_session.sec()));
-  p.sample_dt =
-      TimeDelta::from_sec(flags.get_double("sample-dt", p.sample_dt.sec()));
-  p.admission_enabled = !flags.get_bool("no-admission", false);
-  p.ladder_enabled = !flags.get_bool("no-ladder", false);
-
   MetricsRegistry registry;
   p.registry = &registry;
 
   TimeSeriesRecorder recorder(&registry);
   recorder.select("farm.*");
   for (const auto& obj : objectives) recorder.select(obj.series);
-  for (const auto& sel : split_list(flags.get_or("select", ""))) {
-    recorder.select(sel);
-  }
+  for (const auto& sel : selectors) recorder.select(sel);
 
   SloEngine engine(&recorder);
   for (const auto& obj : objectives) engine.add(obj);
@@ -257,20 +192,11 @@ GateResult run_farm_mode(const Flags& flags,
                      out_dir, &manifest);
 }
 
-GateResult run_fig2_mode(const Flags& flags,
+GateResult run_fig2_mode(ExperimentParams params, TimeDelta cadence,
                          const std::vector<SloObjective>& objectives,
+                         const std::vector<std::string>& selectors,
                          const std::string& spec_text,
                          const std::string& out_dir, int argc, char** argv) {
-  ExperimentParams params;
-  params.rap_flows = 1;
-  params.duration_sec = flags.get_double("duration-s", 20.0);
-  params.seed = static_cast<uint64_t>(flags.get_int("seed", 1));
-  params.bottleneck =
-      Rate::kilobits_per_sec(flags.get_double("bottleneck-kbps", 240.0));
-  params.layer_rate = Rate::bytes_per_sec(10'000.0);
-  params.stream_layers = 8;
-  params.kmax = 1;
-
   // The recorder starts unbound (the hub's registry doesn't exist before
   // the hub, but the hub's config wants the recorder pointer) and binds
   // right after construction, before anything samples.
@@ -285,16 +211,14 @@ GateResult run_fig2_mode(const Flags& flags,
   ocfg.journeys = false;
   ocfg.recorder = &recorder;
   ocfg.slo = &engine;
-  ocfg.sample_cadence = TimeDelta::from_sec(flags.get_double("cadence-s", 0.1));
+  ocfg.sample_cadence = cadence;
 
   Observability obs(ocfg);
   recorder.bind(&obs.registry());
   recorder.select("client.rebuffer.*");
   recorder.select("rap.*");
   for (const auto& obj : objectives) recorder.select(obj.series);
-  for (const auto& sel : split_list(flags.get_or("select", ""))) {
-    recorder.select(sel);
-  }
+  for (const auto& sel : selectors) recorder.select(sel);
 
   obs.manifest().set("tool", "qa_slo");
   obs.manifest().set_args(argc, argv);
@@ -418,32 +342,27 @@ int main(int argc, char** argv) {
   const std::string out_dir = flags.get_or("out-dir", "");
   const bool print_digest = flags.get_bool("print-digest", false);
 
-  // Touch every mode flag before the unknown-flag check; the mode
-  // functions re-read the ones they consume.
-  (void)flags.get_or("preset", "");
-  (void)flags.get_or("backend", "");
-  (void)flags.get_int("seed", 1);
-  (void)flags.get_double("duration-s", 0);
-  (void)flags.get_int("slots", 0);
-  (void)flags.get_double("bottleneck-kbps", 0);
-  (void)flags.get_double("arrival-rate", 0);
-  (void)flags.get_double("mean-session-s", 0);
-  (void)flags.get_double("sample-dt", 0);
-  (void)flags.get_double("cadence-s", 0);
-  (void)flags.get_bool("no-admission", false);
-  (void)flags.get_bool("no-ladder", false);
-  (void)flags.get_or("select", "");
-
-  const auto unused = flags.unused();
-  if (!unused.empty()) {
-    for (const auto& u : unused) {
-      std::fprintf(stderr, "unknown flag --%s\n", u.c_str());
-    }
-    usage();
-    return 2;
-  }
-
   try {
+    // Each run mode reads only its own flags, so the typo gate also
+    // rejects a flag the chosen mode would ignore (e.g. --slots for fig2).
+    FarmParams farm = FarmParams::preset("smoke");
+    ExperimentParams fig2 = ExperimentParams::fig2();
+    TimeDelta cadence;
+    std::vector<std::string> selectors;
+    if (eval_dir.empty()) {
+      if (scenario == "farm") {
+        read_farm_flags(flags, &farm);
+      } else if (scenario == "fig2") {
+        read_experiment_flags(flags, &fig2);
+        cadence = TimeDelta::from_sec(flags.get_double("cadence-s", 0.1));
+      } else {
+        throw std::invalid_argument(
+            invalid_choice("--scenario", scenario, {"farm", "fig2"}));
+      }
+      selectors = split_list(flags.get_or("select", ""));
+    }
+    exit_on_unknown_flags(flags, usage, 2);
+
     // Spec: explicit file > built-in per-scenario defaults. Eval mode
     // without --spec defers to the evaluated dir's own slo_spec.json.
     std::string spec_text;
@@ -468,13 +387,11 @@ int main(int argc, char** argv) {
       gate = run_eval_mode(std::move(objectives), std::move(spec_text),
                            eval_dir, out_dir, argc, argv);
     } else if (scenario == "farm") {
-      gate = run_farm_mode(flags, objectives, spec_text, out_dir, argc, argv);
-    } else if (scenario == "fig2") {
-      gate = run_fig2_mode(flags, objectives, spec_text, out_dir, argc, argv);
+      gate = run_farm_mode(std::move(farm), objectives, selectors, spec_text,
+                           out_dir, argc, argv);
     } else {
-      std::fprintf(stderr, "qa_slo: unknown scenario '%s'\n",
-                   scenario.c_str());
-      return 2;
+      gate = run_fig2_mode(std::move(fig2), cadence, objectives, selectors,
+                           spec_text, out_dir, argc, argv);
     }
 
     if (print_digest) {

@@ -2,15 +2,17 @@
 // the artifact bundle: a Perfetto-loadable Chrome trace, a metrics
 // snapshot (CSV + JSON), and a provenance manifest.
 //
-// The default scenario is a fig-2 style single quality-adaptive flow on a
-// small dumbbell: a lone RAP source against a bottleneck a few layers
-// wide, so the trace shows clean AIMD sawtooths, layer adds/drops, and
-// buffer accumulation without competing-flow noise. Every parameter is a
-// flag; crank --rap-flows/--tcp-flows up for a contended fig-11 style run.
+// The default scenario is ExperimentParams::fig2(): a single quality-
+// adaptive flow on a small dumbbell, a lone RAP source against a
+// bottleneck a few layers wide, so the trace shows clean AIMD sawtooths,
+// layer adds/drops, and buffer accumulation without competing-flow noise.
+// Every scenario flag of app/tool_flags applies; crank
+// --rap-flows/--tcp-flows up for a contended fig-11 style run.
 //
 //   qa_trace --out-dir /tmp/qa_run
-//   qa_trace --out-dir /tmp/qa_run --duration 60 --kmax 2 --seed 7
+//   qa_trace --out-dir /tmp/qa_run --duration-s 60 --kmax 2 --seed 7
 //   qa_trace --out-dir /tmp/qa_run --rap-flows 10 --tcp-flows 10
+//   qa_trace --out-dir /tmp/qa_run --allocation equal-share --red
 //
 // Load <out-dir>/trace.json at ui.perfetto.dev (or chrome://tracing); see
 // EXPERIMENTS.md for the lane layout and a reading guide.
@@ -20,8 +22,8 @@
 #include <string>
 
 #include "app/experiment.h"
-#include "app/obs_flags.h"
 #include "app/observability.h"
+#include "app/tool_flags.h"
 #include "util/flags.h"
 
 using namespace qa;
@@ -33,18 +35,8 @@ void usage() {
   std::printf(
       "qa_trace [flags]\n"
       "  --out-dir DIR          artifact directory (required; created)\n"
-      "  --duration-s SECS      run length (default 20; --duration is an\n"
-      "                         accepted alias)\n"
-      "  --seed N               RNG seed (default 1)\n"
-      "  --bottleneck-kbps K    bottleneck bandwidth (default 240)\n"
-      "  --layer-rate BPS       per-layer consumption C (default 10000)\n"
-      "  --layers N             stream layers (default 8)\n"
-      "  --kmax N               max backoffs survivable, K_max (default 1)\n"
-      "  --rap-flows N          RAP flows incl. the QA one (default 1)\n"
-      "  --tcp-flows N          competing TCP flows (default 0)\n"
-      "  --backend NAME         QA flow congestion control: rap, tfrc, or\n"
-      "                         nada (default rap)\n"
-      "%s",
+      "%s%s",
+      experiment_flags_usage(ExperimentParams::fig2()).c_str(),
       observability_flags_usage());
 }
 
@@ -58,39 +50,15 @@ int main(int argc, char** argv) {
   }
 
   const std::string out_dir = flags.get_or("out-dir", "");
-  ExperimentParams params;
-  params.rap_flows = static_cast<int>(flags.get_int("rap-flows", 1));
-  params.tcp_flows = static_cast<int>(flags.get_int("tcp-flows", 0));
-  // --duration-s is the canonical spelling; --duration remains an alias
-  // for scripts written against earlier revisions.
-  params.duration_sec =
-      flags.get_double("duration-s", flags.get_double("duration", 20.0));
-  params.seed = static_cast<uint64_t>(flags.get_int("seed", 1));
-  params.bottleneck =
-      Rate::kilobits_per_sec(flags.get_double("bottleneck-kbps", 240.0));
-  params.layer_rate =
-      Rate::bytes_per_sec(flags.get_double("layer-rate", 10'000.0));
-  params.stream_layers = static_cast<int>(flags.get_int("layers", 8));
-  params.kmax = static_cast<int>(flags.get_int("kmax", 1));
-  if (flags.has("backend")) {
-    try {
-      params.backend = cc::parse_backend(flags.get_or("backend", "rap"));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "qa_trace: %s\n", e.what());
-      return 1;
-    }
-  }
-
-  const ObservabilityConfig ocfg = observability_flags(flags, out_dir);
-
-  const auto unused = flags.unused();
-  if (!unused.empty()) {
-    for (const auto& u : unused) {
-      std::fprintf(stderr, "unknown flag --%s\n", u.c_str());
-    }
-    usage();
+  ExperimentParams params = ExperimentParams::fig2();
+  try {
+    read_experiment_flags(flags, &params);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "qa_trace: %s\n", e.what());
     return 1;
   }
+  const ObservabilityConfig ocfg = observability_flags(flags, out_dir);
+  exit_on_unknown_flags(flags, usage);
   if (out_dir.empty()) {
     std::fprintf(stderr, "qa_trace: --out-dir is required\n");
     usage();
