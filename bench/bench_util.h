@@ -1,4 +1,4 @@
-// Shared helpers for the figure/table reproduction binaries.
+// Shared helpers for the bench binaries (qa_paper and the micro benches).
 //
 // Every bench prints a human-readable summary to stdout (the rows/series
 // the paper reports) and writes full-resolution CSVs under ./bench_out/ so
@@ -16,14 +16,10 @@
 
 namespace qa::bench {
 
-inline std::string out_dir() {
-  const std::string dir = "bench_out";
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
+// bench_out/<file>, creating the directory on first use.
 inline std::string out_path(const std::string& file) {
-  return out_dir() + "/" + file;
+  std::filesystem::create_directories("bench_out");
+  return "bench_out/" + file;
 }
 
 // Fixed-width text table.

@@ -9,8 +9,8 @@
 //
 // Parameter note (DESIGN.md §3): the paper quotes an 800 Kb/s bottleneck
 // with C = 10 KB/s layers, which cannot feed even one layer at a 20-flow
-// fair share; we default to 8 Mb/s so the printed figure scale (2–4 active
-// layers at C = 10 KB/s) is reproduced. Every parameter is overridable.
+// fair share; we keep 800 Kb/s and default to C = 1.25 kB/s, so the fair
+// share feeds about four layers. Every parameter is overridable.
 #pragma once
 
 #include <cstdint>
@@ -88,6 +88,7 @@ struct ExperimentParams {
   // on a 240 Kb/s bottleneck, C = 10 kB/s, Kmax = 1, 20 s, so the trace
   // shows clean sawtooths and layer changes without competing traffic.
   static ExperimentParams fig2();
+  bool operator==(const ExperimentParams&) const = default;
 };
 
 struct ExperimentResult {
