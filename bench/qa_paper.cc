@@ -504,7 +504,8 @@ void print_states(const char* title, std::span<const BufferState> states,
   bench::banner(title);
   std::vector<std::string> headers = {"scenario", "k", "total_B"};
   for (int i = 0; i < kStatesLayers; ++i) {
-    headers.push_back("L" + std::to_string(i));
+    headers.push_back("L");
+    headers.back() += std::to_string(i);
   }
   bench::TablePrinter t(headers, 10);
   t.print_header();

@@ -21,8 +21,6 @@ namespace qa::app {
 
 namespace {
 
-using TraceArgs = ChromeTraceWriter::Args;
-
 // The farm run engine. One instance per run_farm call; everything hangs off
 // the one Scheduler inside net_, so the whole farm — churn, sampling,
 // ladder actions, retries — is a single deterministic event sequence.
@@ -342,9 +340,8 @@ class Farm {
       last_shed_ = now;
       shed_happened_ = true;
       if (params_.trace != nullptr) {
-        params_.trace->instant(
-            now, ChromeTraceWriter::kFarmTrack, "shed session",
-            TraceArgs{{"slot", ChromeTraceWriter::num(int64_t{slot})}});
+        params_.trace->instant(now, ChromeTraceWriter::kFarmTrack,
+                               "shed session", {{"slot", slot}});
       }
       note(now, "farm.shed_session",
            "{\"slot\": " + json_number(int64_t{slot}) + "}");
@@ -506,9 +503,7 @@ class Farm {
         params_.trace->instant(
             now, ChromeTraceWriter::kFarmTrack,
             std::string("shed_level ") + to_string(level),
-            TraceArgs{{"from", ChromeTraceWriter::num(
-                                   int64_t{static_cast<int>(prev)})},
-                      {"to", ChromeTraceWriter::num(int64_t{level_int})}});
+            {{"from", static_cast<int>(prev)}, {"to", level_int}});
         params_.trace->counter(now, ChromeTraceWriter::kFarmTrack,
                                "farm shed level", "level",
                                static_cast<double>(level_int));

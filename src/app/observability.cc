@@ -9,7 +9,6 @@
 namespace qa::app {
 
 using sim::EventCategory;
-using TraceArgs = ChromeTraceWriter::Args;
 
 Observability::Observability(ObservabilityConfig cfg) : cfg_(std::move(cfg)) {
   if (!cfg_.out_dir.empty() && cfg_.trace) {
@@ -80,10 +79,9 @@ void Observability::attach_scheduler(sim::Scheduler& sched) {
     // measured wall cost rides as an argument.
     subs_.push_back(sched.on_dispatch().subscribe_scoped(
         [this](const sim::DispatchRecord& rec) {
-          trace_->span_begin(
-              rec.at, ChromeTraceWriter::kSchedulerTrack,
-              sim::event_category_name(rec.category),
-              TraceArgs{{"wall_ns", ChromeTraceWriter::num(rec.wall_ns)}});
+          trace_->span_begin(rec.at, ChromeTraceWriter::kSchedulerTrack,
+                             sim::event_category_name(rec.category),
+                             {{"wall_ns", rec.wall_ns}});
           trace_->span_end(rec.at, ChromeTraceWriter::kSchedulerTrack);
         }));
   }
@@ -121,8 +119,7 @@ void Observability::on_slo_transition(const SloEngine::Transition& tr,
     trace_->instant(
         tr.t, ChromeTraceWriter::kSloTrack,
         std::string(tr.open ? "slo_open " : "slo_close ") + tr.objective,
-        TraceArgs{{"fast", ChromeTraceWriter::num(tr.fast_value)},
-                  {"slow", ChromeTraceWriter::num(tr.slow_value)}});
+        {{"fast", tr.fast_value}, {"slow", tr.slow_value}});
   }
 }
 
@@ -165,37 +162,35 @@ void Observability::attach_link(sim::Link& link, const std::string& name) {
   registry_.register_gauge(base + ".queue_bytes", [&link] {
     return static_cast<double>(link.queue().bytes());
   });
+  // Trace names, built once here rather than per packet.
+  const std::string queue_track = "queue " + name;
+  const std::string drop_name = "queue_drop " + name;
 
   subs_.push_back(link.on_enqueue().subscribe_scoped(
-      [this, &link, &enq, name](const sim::Packet&) {
+      [this, &link, &enq, queue_track](const sim::Packet&) {
         enq.inc();
         if (trace_) {
           trace_->counter(sched_ ? sched_->now() : TimePoint::origin(),
-                          ChromeTraceWriter::kLinkTrack, "queue " + name,
-                          "bytes",
+                          ChromeTraceWriter::kLinkTrack, queue_track, "bytes",
                           static_cast<double>(link.queue().bytes()));
         }
       }));
   subs_.push_back(link.on_queue_drop().subscribe_scoped(
-      [this, &drop, name](const sim::Packet& p) {
+      [this, &drop, drop_name](const sim::Packet& p) {
         drop.inc();
         if (trace_) {
-          trace_->instant(
-              sched_ ? sched_->now() : TimePoint::origin(),
-              ChromeTraceWriter::kLinkTrack, "queue_drop " + name,
-              TraceArgs{{"flow", ChromeTraceWriter::num(int64_t{p.flow_id})},
-                        {"bytes",
-                         ChromeTraceWriter::num(int64_t{p.size_bytes})}});
+          trace_->instant(sched_ ? sched_->now() : TimePoint::origin(),
+                          ChromeTraceWriter::kLinkTrack, drop_name,
+                          {{"flow", p.flow_id}, {"bytes", p.size_bytes}});
         }
       }));
   subs_.push_back(link.on_tx().subscribe_scoped(
-      [this, &link, &tx, &tx_bytes, name](const sim::Packet& p) {
+      [this, &link, &tx, &tx_bytes, queue_track](const sim::Packet& p) {
         tx.inc();
         tx_bytes.inc(p.size_bytes);
         if (trace_) {
           trace_->counter(sched_ ? sched_->now() : TimePoint::origin(),
-                          ChromeTraceWriter::kLinkTrack, "queue " + name,
-                          "bytes",
+                          ChromeTraceWriter::kLinkTrack, queue_track, "bytes",
                           static_cast<double>(link.queue().bytes()));
         }
       }));
@@ -219,47 +214,47 @@ void Observability::attach_controller(cc::CongestionController& src) {
                              [&src] { return src.rate().bps(); });
   }
 
+  // Trace and note names, built once here rather than per event.
+  const std::string rate_track = prefix + " rate";
+  const std::string backoff_kind = prefix + ".backoff";
+  const std::string enter_kind = prefix + ".quiescence_enter";
+  const std::string exit_kind = prefix + ".quiescence_exit";
+
   subs_.push_back(src.on_rate_change().subscribe_scoped(
-      [this, prefix, &rate_changes, &rate_hist](TimePoint t, Rate r) {
+      [this, rate_track, &rate_changes, &rate_hist](TimePoint t, Rate r) {
         rate_changes.inc();
         rate_hist.observe(r.bps());
         if (trace_) {
-          trace_->counter(t, ChromeTraceWriter::kTransportTrack,
-                          prefix + " rate", "bytes_per_sec", r.bps());
+          trace_->counter(t, ChromeTraceWriter::kTransportTrack, rate_track,
+                          "bytes_per_sec", r.bps());
         }
       }));
   subs_.push_back(src.on_backoff().subscribe_scoped(
-      [this, prefix, &backoffs](TimePoint t, Rate r) {
+      [this, backoff_kind, &backoffs](TimePoint t, Rate r) {
         backoffs.inc();
-        flightrec_note(t, prefix + ".backoff",
+        flightrec_note(t, backoff_kind,
                        "{\"rate_post\":" + json_number(r.bps()) + "}");
-        live_note(t, prefix + ".backoff",
+        live_note(t, backoff_kind,
                   "{\"rate_post\": " + json_number(r.bps()) + "}");
         if (trace_) {
-          trace_->instant(
-              t, ChromeTraceWriter::kTransportTrack, "backoff",
-              TraceArgs{{"rate_post", ChromeTraceWriter::num(r.bps())}});
+          trace_->instant(t, ChromeTraceWriter::kTransportTrack, "backoff",
+                          {{"rate_post", r.bps()}});
         }
       }));
   subs_.push_back(src.on_timeout_loss().subscribe_scoped(
       [this, &timeout_losses](TimePoint t, const sim::Packet& p) {
         timeout_losses.inc();
         if (trace_) {
-          trace_->instant(
-              t, ChromeTraceWriter::kTransportTrack, "timeout_loss",
-              TraceArgs{{"seq", ChromeTraceWriter::num(p.seq)},
-                        {"layer", ChromeTraceWriter::num(int64_t{p.layer})}});
+          trace_->instant(t, ChromeTraceWriter::kTransportTrack,
+                          "timeout_loss",
+                          {{"seq", p.seq}, {"layer", p.layer}});
         }
       }));
   subs_.push_back(src.on_quiescence().subscribe_scoped(
-      [this, prefix, &quiescence](TimePoint t, bool active) {
+      [this, enter_kind, exit_kind, &quiescence](TimePoint t, bool active) {
         if (active) quiescence.inc();
-        flightrec_note(t, active ? prefix + ".quiescence_enter"
-                                 : prefix + ".quiescence_exit",
-                       "{}");
-        live_note(t, active ? prefix + ".quiescence_enter"
-                            : prefix + ".quiescence_exit",
-                  "{}");
+        flightrec_note(t, active ? enter_kind : exit_kind, "{}");
+        live_note(t, active ? enter_kind : exit_kind, "{}");
         if (trace_) {
           trace_->instant(t, ChromeTraceWriter::kTransportTrack,
                           active ? "quiescence_enter" : "quiescence_exit");
@@ -295,16 +290,13 @@ void Observability::attach_adapter(core::QualityAdapter& adapter) {
         live_note(e.time, "adapter.layer_drop",
                   "{\"layer\": " + json_number(int64_t{e.layer}) + "}");
         if (!trace_) return;
-        trace_->instant(
-            e.time, ChromeTraceWriter::kAdapterTrack, "layer_drop",
-            TraceArgs{
-                {"layer", ChromeTraceWriter::num(int64_t{e.layer})},
-                {"dropped_buf", ChromeTraceWriter::num(e.dropped_buf)},
-                {"total_buf", ChromeTraceWriter::num(e.total_buf)},
-                {"required_buf", ChromeTraceWriter::num(e.required_buf)},
-                {"poor_distribution",
-                 e.poor_distribution ? std::string("true")
-                                     : std::string("false")}});
+        trace_->instant(e.time, ChromeTraceWriter::kAdapterTrack,
+                        "layer_drop",
+                        {{"layer", e.layer},
+                         {"dropped_buf", e.dropped_buf},
+                         {"total_buf", e.total_buf},
+                         {"required_buf", e.required_buf},
+                         {"poor_distribution", e.poor_distribution}});
       }));
   subs_.push_back(
       adapter.on_add().subscribe_scoped([this](const core::AddEvent& e) {
@@ -317,9 +309,7 @@ void Observability::attach_adapter(core::QualityAdapter& adapter) {
                       json_number(int64_t{e.new_active_layers}) + "}");
         if (!trace_) return;
         trace_->instant(e.time, ChromeTraceWriter::kAdapterTrack, "layer_add",
-                        TraceArgs{{"active_layers",
-                                   ChromeTraceWriter::num(
-                                       int64_t{e.new_active_layers})}});
+                        {{"active_layers", e.new_active_layers}});
       }));
   subs_.push_back(adapter.on_allocation().subscribe_scoped(
       [this, &padding, &media,
@@ -390,10 +380,9 @@ void Observability::attach_fault_injector(sim::FaultInjector& inj) {
         flightrec_note(ev.at, std::string("fault.") + kind, detail);
         live_note(ev.at, std::string("fault.") + kind, detail);
         if (trace_) {
-          trace_->instant(
-              ev.at, ChromeTraceWriter::kLinkTrack,
-              std::string("fault ") + kind,
-              TraceArgs{{"value", ChromeTraceWriter::num(ev.value)}});
+          trace_->instant(ev.at, ChromeTraceWriter::kLinkTrack,
+                          std::string("fault ") + kind,
+                          {{"value", ev.value}});
         }
       }));
 }
@@ -412,19 +401,7 @@ void Observability::live_note(TimePoint t, std::string_view kind,
 }
 
 void Observability::on_journey_span(const JourneySpan& span) {
-  if (flightrec_) {
-    std::string detail = "{\"id\":" + json_number(uint64_t{span.id}) +
-                         ",\"flow\":" + json_number(int64_t{span.flow}) +
-                         ",\"layer\":" + json_number(int64_t{span.layer}) +
-                         ",\"seq\":" + json_number(span.seq);
-    if (span.hop != kNoHop) {
-      detail += ",\"hop\":" + json_quote(journeys_.hop_name(span.hop));
-    }
-    detail += "}";
-    flightrec_->note(span.at,
-                     std::string("journey.") + journey_stage_name(span.stage),
-                     std::move(detail));
-  }
+  if (flightrec_) flightrec_->note_journey(span, journeys_);
   // Lifecycle milestones only — the per-hop churn (enqueue, tx
   // start/complete) stays in the flight recorder, keeping trace-lane and
   // SSE volume proportional to packets, not hops.
@@ -456,18 +433,26 @@ void Observability::on_journey_span(const JourneySpan& span) {
   }
   if (!trace_ || span.layer < 0) return;
   const int track = ChromeTraceWriter::kJourneyTrackBase + span.layer;
-  if (named_journey_tracks_.insert(track).second) {
-    trace_->name_track(track,
-                       "video layer " + std::to_string(span.layer));
+  const auto layer = static_cast<size_t>(span.layer);
+  if (layer >= journey_track_named_.size()) {
+    journey_track_named_.resize(layer + 1, false);
   }
-  TraceArgs args{{"id", ChromeTraceWriter::num(static_cast<int64_t>(span.id))},
-                 {"seq", ChromeTraceWriter::num(span.seq)},
-                 {"layer_seq", ChromeTraceWriter::num(span.layer_seq)}};
-  if (span.hop != kNoHop) {
-    args.emplace_back("hop",
-                      ChromeTraceWriter::str(journeys_.hop_name(span.hop)));
+  if (!journey_track_named_[layer]) {
+    journey_track_named_[layer] = true;
+    trace_->name_track(track, "video layer " + std::to_string(span.layer));
   }
-  trace_->instant(span.at, track, journey_stage_name(span.stage), args);
+  const auto id = static_cast<int64_t>(span.id);
+  const char* stage = journey_stage_name(span.stage);
+  if (span.hop == kNoHop) {
+    trace_->instant(span.at, track, stage,
+                    {{"id", id}, {"seq", span.seq},
+                     {"layer_seq", span.layer_seq}});
+  } else {
+    trace_->instant(span.at, track, stage,
+                    {{"id", id}, {"seq", span.seq},
+                     {"layer_seq", span.layer_seq},
+                     {"hop", journeys_.hop_name(span.hop)}});
+  }
 }
 
 void Observability::finish() {

@@ -19,8 +19,6 @@
 #include <string>
 #include <vector>
 
-#include <set>
-
 #include "cc/congestion_controller.h"
 #include "core/quality_adapter.h"
 #include "sim/link.h"
@@ -165,7 +163,8 @@ class Observability {
   std::unique_ptr<ChromeTraceWriter> trace_;
   JourneyRecorder journeys_;
   std::unique_ptr<FlightRecorder> flightrec_;
-  std::set<int> named_journey_tracks_;  // lanes labeled on first span
+  // Per video layer: its journey lane is labeled (on its first span).
+  std::vector<bool> journey_track_named_;
   std::vector<ScopedSubscription> subs_;
   sim::Scheduler* sched_ = nullptr;
   MetricsSnapshotter snapshotter_{&registry_};

@@ -123,7 +123,10 @@ class FlagVisitor {
   void operator()(const char* flag, const char* help, std::vector<T>* field) {
     if (flags_ == nullptr) {
       std::string values;
-      for (const T v : *field) values += (values.empty() ? "" : ",") + show(v);
+      for (const T v : *field) {
+        if (!values.empty()) values += ',';
+        values += show(v);
+      }
       return line(flag, help, values);
     }
     const auto v = flags_->get(name(flag));

@@ -14,19 +14,29 @@ FlightRecorder::FlightRecorder(size_t capacity)
 
 FlightRecorder::~FlightRecorder() { disarm(); }
 
+FlightRecorder::Entry& FlightRecorder::next_slot() {
+  ++notes_;
+  if (ring_.size() < capacity_) return ring_.emplace_back();
+  Entry& e = ring_[next_];
+  next_ = (next_ + 1) % capacity_;
+  return e;
+}
+
 void FlightRecorder::note(TimePoint at, std::string_view kind,
                           std::string detail_json) {
-  Entry e;
+  Entry& e = next_slot();
   e.sim_ns = at.ns();
   e.kind.assign(kind.data(), kind.size());
   e.detail_json = std::move(detail_json);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(e));
-  } else {
-    ring_[next_] = std::move(e);
-    next_ = (next_ + 1) % capacity_;
-  }
-  ++notes_;
+  e.journeys = nullptr;
+}
+
+void FlightRecorder::note_journey(const JourneySpan& span,
+                                  const JourneyRecorder& journeys) {
+  Entry& e = next_slot();
+  e.sim_ns = span.at.ns();
+  e.journeys = &journeys;
+  e.journey = {span.id, span.seq, span.flow, span.hop, span.layer, span.stage};
 }
 
 std::string FlightRecorder::to_jsonl() const {
@@ -39,10 +49,29 @@ std::string FlightRecorder::to_jsonl() const {
     const Entry& e = ring_[(oldest + i) % n];
     out += "{\"ts_ns\":";
     out += json_number(e.sim_ns);
-    out += ",\"kind\":";
-    out += json_quote(e.kind);
-    out += ",\"data\":";
-    out += e.detail_json.empty() ? std::string("{}") : e.detail_json;
+    if (e.journeys == nullptr) {
+      out += ",\"kind\":";
+      out += json_quote(e.kind);
+      out += ",\"data\":";
+      out += e.detail_json.empty() ? std::string("{}") : e.detail_json;
+    } else {
+      const JourneyNote& s = e.journey;
+      out += ",\"kind\":\"journey.";
+      out += journey_stage_name(s.stage);  // plain identifiers, no escapes
+      out += "\",\"data\":{\"id\":";
+      out += json_number(uint64_t{s.id});
+      out += ",\"flow\":";
+      out += json_number(int64_t{s.flow});
+      out += ",\"layer\":";
+      out += json_number(int64_t{s.layer});
+      out += ",\"seq\":";
+      out += json_number(s.seq);
+      if (s.hop != kNoHop) {
+        out += ",\"hop\":";
+        out += json_quote(e.journeys->hop_name(s.hop));
+      }
+      out += "}";
+    }
     out += "}\n";
   }
   return out;

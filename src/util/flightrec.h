@@ -9,8 +9,10 @@
 // simulation did instead of from a bare stack trace.
 //
 // Each line is one event: {"ts_ns":<sim time>,"kind":"...","data":{...}}.
-// `data` is caller-provided JSON (already encoded); the recorder does not
-// interpret it.
+// For a generic note `data` is caller-provided JSON (already encoded); the
+// recorder does not interpret it. Journey spans — several per packet, and
+// a healthy run never dumps — are kept as raw fields instead and
+// formatted only when the ring is dumped.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/journey.h"
 #include "util/time.h"
 
 namespace qa {
@@ -34,6 +37,10 @@ class FlightRecorder {
   // `detail_json` must be a complete JSON value (object, string, ...);
   // pass "{}" when there is nothing to say.
   void note(TimePoint at, std::string_view kind, std::string detail_json);
+  // Appends a journey span, dumped as kind "journey.<stage>" with data
+  // {"id","flow","layer","seq"[,"hop"]}. Hop names resolve through
+  // `journeys` when the ring is dumped, so it must outlive every dump.
+  void note_journey(const JourneySpan& span, const JourneyRecorder& journeys);
 
   // The ring as JSONL, oldest event first.
   std::string to_jsonl() const;
@@ -58,11 +65,27 @@ class FlightRecorder {
   bool armed() const { return armed_; }
 
  private:
+  // The JourneySpan fields a dump prints.
+  struct JourneyNote {
+    JourneyId id = kUntracedJourney;
+    int64_t seq = -1;
+    int32_t flow = -1;
+    HopId hop = kNoHop;
+    int16_t layer = -1;
+    JourneyStage stage = JourneyStage::kSubmit;
+  };
+  // A generic note (kind + detail_json) or, when `journeys` is set, a
+  // journey span kept raw until a dump formats it.
   struct Entry {
     int64_t sim_ns = 0;
     std::string kind;
     std::string detail_json;
+    const JourneyRecorder* journeys = nullptr;
+    JourneyNote journey;
   };
+
+  // The slot the next note fills (a fresh one until the ring wraps).
+  Entry& next_slot();
 
   size_t capacity_;
   std::vector<Entry> ring_;

@@ -57,17 +57,43 @@ const std::string& JourneyRecorder::hop_name(HopId hop) const {
   return hop_names_[static_cast<size_t>(hop)];
 }
 
-Counter* JourneyRecorder::counter(const std::string& name) {
-  return registry_ ? &registry_->counter(name) : nullptr;
+namespace {
+
+std::string concat(std::initializer_list<std::string_view> parts) {
+  std::string out;
+  for (const std::string_view part : parts) out += part;
+  return out;
 }
 
-Histogram* JourneyRecorder::histogram(const std::string& name) {
-  return registry_ ? &registry_->histogram(name) : nullptr;
+}  // namespace
+
+Counter* JourneyRecorder::counter(
+    Counter*& slot, std::initializer_list<std::string_view> name_parts) {
+  if (slot == nullptr && registry_ != nullptr) {
+    slot = &registry_->counter(concat(name_parts));
+  }
+  return slot;
 }
 
-std::string JourneyRecorder::layer_label(int16_t layer) {
-  return layer < 0 ? std::string("padding")
-                   : "layer" + std::to_string(layer);
+Histogram* JourneyRecorder::histogram(
+    Histogram*& slot, std::initializer_list<std::string_view> name_parts) {
+  if (slot == nullptr && registry_ != nullptr) {
+    slot = &registry_->histogram(concat(name_parts));
+  }
+  return slot;
+}
+
+JourneyRecorder::LayerInstruments& JourneyRecorder::layer_instruments(
+    int16_t layer) {
+  // Padding and other non-video payload (layer < 0) share slot 0.
+  const size_t index = layer < 0 ? 0 : static_cast<size_t>(layer) + 1;
+  if (index >= inst_.layers.size()) inst_.layers.resize(index + 1);
+  LayerInstruments& li = inst_.layers[index];
+  if (li.label.empty()) {
+    li.label = layer < 0 ? "padding" : "layer";
+    if (layer >= 0) li.label += std::to_string(layer);
+  }
+  return li;
 }
 
 JourneyRecorder::OpenJourney* JourneyRecorder::find_open(JourneyId id) {
@@ -99,7 +125,7 @@ void JourneyRecorder::evict_if_over_cap() {
     open_order_.pop_front();
     if (open_.erase(victim) > 0) {
       ++evicted_;
-      if (Counter* c = counter("journey.evicted")) c->inc();
+      if (Counter* c = counter(inst_.evicted, {"journey.evicted"})) c->inc();
     }
   }
   // The begin-order deque can accumulate ids already closed normally;
@@ -136,12 +162,14 @@ JourneyId JourneyRecorder::begin_journey(const JourneyOrigin& origin,
       pending_retx_.erase(it);
       stage = JourneyStage::kRetransmit;
       ++retx_started_;
-      if (Counter* c = counter("journey.retx.started")) c->inc();
+      if (Counter* c = counter(inst_.retx_started, {"journey.retx.started"})) {
+        c->inc();
+      }
     }
   }
 
   ++started_;
-  if (Counter* c = counter("journey.started")) c->inc();
+  if (Counter* c = counter(inst_.started, {"journey.started"})) c->inc();
   auto [it, inserted] = open_.emplace(id, std::move(j));
   QA_CHECK(inserted);
   open_order_.push_back(id);
@@ -151,11 +179,15 @@ JourneyId JourneyRecorder::begin_journey(const JourneyOrigin& origin,
 }
 
 void JourneyRecorder::attribute_loss(LossCause cause, const OpenJourney& j) {
-  loss_by_cause_[static_cast<size_t>(cause)]++;
-  const std::string cause_name = loss_cause_name(cause);
-  if (Counter* c = counter("journey.lost." + cause_name)) c->inc();
-  if (Counter* c = counter("journey." + layer_label(j.origin.layer) +
-                           ".lost." + cause_name)) {
+  const auto i = static_cast<size_t>(cause);
+  loss_by_cause_[i]++;
+  const char* cause_name = loss_cause_name(cause);
+  if (Counter* c = counter(inst_.lost[i], {"journey.lost.", cause_name})) {
+    c->inc();
+  }
+  LayerInstruments& li = layer_instruments(j.origin.layer);
+  if (Counter* c = counter(li.lost[i],
+                           {"journey.", li.label, ".lost.", cause_name})) {
     c->inc();
   }
 }
@@ -175,12 +207,18 @@ void JourneyRecorder::record_hop(JourneyId id, JourneyStage stage, HopId hop,
     case JourneyStage::kTxStart:
       if (j->enqueued) {
         const double wait_ms = (at - j->last_enqueue).ms();
-        if (Histogram* h = histogram("journey.queue_wait_ms")) {
+        if (Histogram* h =
+                histogram(inst_.queue_wait_ms, {"journey.queue_wait_ms"})) {
           h->observe(wait_ms);
         }
         if (hop != kNoHop) {
-          if (Histogram* h = histogram("journey.hop." + hop_name(hop) +
-                                       ".queue_wait_ms")) {
+          const auto h_index = static_cast<size_t>(hop);
+          if (h_index >= inst_.hop_queue_wait_ms.size()) {
+            inst_.hop_queue_wait_ms.resize(h_index + 1, nullptr);
+          }
+          if (Histogram* h = histogram(
+                  inst_.hop_queue_wait_ms[h_index],
+                  {"journey.hop.", hop_name(hop), ".queue_wait_ms"})) {
             h->observe(wait_ms);
           }
         }
@@ -221,16 +259,20 @@ void JourneyRecorder::record_deliver(JourneyId id, TimePoint at) {
   if (j->delivered) {
     // A wire duplicate of an already-delivered journey.
     ++duplicate_deliveries_;
-    if (Counter* c = counter("journey.duplicate_deliveries")) c->inc();
+    if (Counter* c = counter(inst_.duplicate_deliveries,
+                             {"journey.duplicate_deliveries"})) {
+      c->inc();
+    }
     return;
   }
   j->delivered = true;
   ++delivered_;
-  if (Counter* c = counter("journey.delivered")) c->inc();
+  if (Counter* c = counter(inst_.delivered, {"journey.delivered"})) c->inc();
 
   const TimeDelta owd = at - j->submit;
-  const std::string label = layer_label(j->origin.layer);
-  if (Histogram* h = histogram("journey." + label + ".owd_ms")) {
+  LayerInstruments& li = layer_instruments(j->origin.layer);
+  if (Histogram* h =
+          histogram(li.owd_ms, {"journey.", li.label, ".owd_ms"})) {
     h->observe(owd.ms());
   }
   if (j->origin.layer >= 0) {
@@ -241,7 +283,8 @@ void JourneyRecorder::record_deliver(JourneyId id, TimePoint at) {
     const TimeDelta prev = last_owd_by_layer_[layer];
     if (prev >= TimeDelta::zero()) {
       const TimeDelta jitter = owd >= prev ? owd - prev : prev - owd;
-      if (Histogram* h = histogram("journey." + label + ".jitter_ms")) {
+      if (Histogram* h =
+              histogram(li.jitter_ms, {"journey.", li.label, ".jitter_ms"})) {
         h->observe(jitter.ms());
       }
     }
@@ -250,8 +293,12 @@ void JourneyRecorder::record_deliver(JourneyId id, TimePoint at) {
 
   if (j->is_retransmit) {
     ++retx_recovered_;
-    if (Counter* c = counter("journey.retx.recovered")) c->inc();
-    if (Histogram* h = histogram("journey.retx.recovery_ms")) {
+    if (Counter* c =
+            counter(inst_.retx_recovered, {"journey.retx.recovered"})) {
+      c->inc();
+    }
+    if (Histogram* h = histogram(inst_.retx_recovery_ms,
+                                 {"journey.retx.recovery_ms"})) {
       h->observe((at - j->retx_loss_at).ms());
     }
   }
@@ -272,8 +319,8 @@ void JourneyRecorder::record_ack(JourneyId id, TimePoint at) {
   emit_span(id, JourneyStage::kAck, kNoHop, at, j);
   if (j == nullptr) return;
   ++acked_;
-  if (Counter* c = counter("journey.acked")) c->inc();
-  if (Histogram* h = histogram("journey.ack_rtt_ms")) {
+  if (Counter* c = counter(inst_.acked, {"journey.acked"})) c->inc();
+  if (Histogram* h = histogram(inst_.ack_rtt_ms, {"journey.ack_rtt_ms"})) {
     h->observe((at - j->submit).ms());
   }
   open_.erase(it);  // the lifecycle is complete
@@ -286,8 +333,12 @@ void JourneyRecorder::record_loss_detected(JourneyId id, TimePoint at) {
   emit_span(id, JourneyStage::kLossDetected, kNoHop, at, j);
   if (j == nullptr) return;
   ++transport_losses_;
-  if (Counter* c = counter("journey.transport.losses_detected")) c->inc();
-  if (Histogram* h = histogram("journey.loss_detect_ms")) {
+  if (Counter* c = counter(inst_.losses_detected,
+                           {"journey.transport.losses_detected"})) {
+    c->inc();
+  }
+  if (Histogram* h =
+          histogram(inst_.loss_detect_ms, {"journey.loss_detect_ms"})) {
     h->observe((at - j->submit).ms());
   }
   // A packet the transport gave up on that no hop reported dropping was

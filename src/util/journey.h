@@ -23,8 +23,10 @@
 
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -98,7 +100,10 @@ class JourneyRecorder {
   // Export aggregates through `registry` (instruments under "journey.*",
   // created lazily as the first matching sample arrives). Nullable; must
   // outlive the recorder's last record_* call.
-  void bind_metrics(MetricsRegistry* registry) { registry_ = registry; }
+  void bind_metrics(MetricsRegistry* registry) {
+    registry_ = registry;
+    inst_ = Instruments{};
+  }
 
   // Names a hop (a link's transmitter) for span records and the per-hop
   // queue-wait histograms. Idempotent per name.
@@ -150,17 +155,49 @@ class JourneyRecorder {
     TimePoint retx_loss_at;
   };
 
+  // Registry instruments, looked up on first use and cached (the registry
+  // hands out stable references), so the per-packet paths neither build
+  // names nor search the registry. A row still appears only with its
+  // first sample.
+  struct LayerInstruments {
+    std::string label;  // "layer<k>" or "padding"
+    Histogram* owd_ms = nullptr;
+    Histogram* jitter_ms = nullptr;
+    Counter* lost[kLossCauseCount] = {};
+  };
+  struct Instruments {
+    Counter* started = nullptr;
+    Counter* evicted = nullptr;
+    Counter* retx_started = nullptr;
+    Counter* retx_recovered = nullptr;
+    Counter* delivered = nullptr;
+    Counter* duplicate_deliveries = nullptr;
+    Counter* acked = nullptr;
+    Counter* losses_detected = nullptr;
+    Counter* lost[kLossCauseCount] = {};
+    Histogram* queue_wait_ms = nullptr;
+    Histogram* retx_recovery_ms = nullptr;
+    Histogram* ack_rtt_ms = nullptr;
+    Histogram* loss_detect_ms = nullptr;
+    std::vector<Histogram*> hop_queue_wait_ms;  // by HopId
+    std::vector<LayerInstruments> layers;       // by layer + 1 (padding 0)
+  };
+
   void emit_span(JourneyId id, JourneyStage stage, HopId hop, TimePoint at,
                  const OpenJourney* open);
   OpenJourney* find_open(JourneyId id);
   void attribute_loss(LossCause cause, const OpenJourney& j);
   void evict_if_over_cap();
-  // Lazily-created instruments; no-ops without a bound registry.
-  Counter* counter(const std::string& name);
-  Histogram* histogram(const std::string& name);
-  static std::string layer_label(int16_t layer);
+  // The instrument `slot` caches, created on first use under the name
+  // `name_parts` concatenate; null without a bound registry.
+  Counter* counter(Counter*& slot,
+                   std::initializer_list<std::string_view> name_parts);
+  Histogram* histogram(Histogram*& slot,
+                       std::initializer_list<std::string_view> name_parts);
+  LayerInstruments& layer_instruments(int16_t layer);
 
   MetricsRegistry* registry_ = nullptr;
+  Instruments inst_;
   Event<const JourneySpan&> on_span_;
 
   JourneyId next_id_ = 1;

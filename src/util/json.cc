@@ -1,47 +1,72 @@
 #include "util/json.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 
 namespace qa {
 
-std::string json_quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
+char* json_quote_to(char* out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  *out++ = '"';
   for (const char c : s) {
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
+      case '"': *out++ = '\\'; *out++ = '"'; break;
+      case '\\': *out++ = '\\'; *out++ = '\\'; break;
+      case '\n': *out++ = '\\'; *out++ = 'n'; break;
+      case '\r': *out++ = '\\'; *out++ = 'r'; break;
+      case '\t': *out++ = '\\'; *out++ = 't'; break;
+      default: {
+        const auto u = static_cast<unsigned char>(c);
+        if (u < 0x20) {
+          out = std::copy_n("\\u00", 4, out);
+          *out++ = kHex[u >> 4];
+          *out++ = kHex[u & 0xF];
         } else {
-          out.push_back(c);
+          *out++ = c;
         }
+      }
     }
   }
-  out.push_back('"');
+  *out++ = '"';
   return out;
 }
 
+std::string json_quote(std::string_view s) {
+  std::string out(json_quote_max_size(s.size()), '\0');
+  out.resize(static_cast<size_t>(json_quote_to(out.data(), s) - out.data()));
+  return out;
+}
+
+char* json_number_to(char* out, double v) {
+  if (!std::isfinite(v)) return std::copy_n("null", 4, out);
+  char* const limit = out + kJsonNumberMaxSize;
+  // Integers below 1e12 print as themselves under 12 significant digits;
+  // -0.0 keeps its sign through the general path ("-0").
+  if (std::fabs(v) < 1e12 && v == std::trunc(v) &&
+      !(v == 0 && std::signbit(v))) {
+    return std::to_chars(out, limit, static_cast<int64_t>(v)).ptr;
+  }
+  // to_chars with a precision prints exactly what printf("%.<p>g") does;
+  // keep the 12-digit form when it reads back as the same double.
+  char* end =
+      std::to_chars(out, limit, v, std::chars_format::general, 12).ptr;
+  double back = 0;
+  const auto parsed = std::from_chars(out, end, back);
+  if (parsed.ec == std::errc() && parsed.ptr == end && back == v) return end;
+  return std::to_chars(out, limit, v, std::chars_format::general, 17).ptr;
+}
+
+char* json_number_to(char* out, int64_t v) {
+  return std::to_chars(out, out + kJsonNumberMaxSize, v).ptr;
+}
+
 std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  // %.17g round-trips any double; shorten when exact.
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  const std::string full = buf;
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return std::stod(buf) == v ? std::string(buf) : full;
+  char buf[kJsonNumberMaxSize];
+  return std::string(buf, json_number_to(buf, v));
 }
 
 std::string json_number(int64_t v) { return std::to_string(v); }

@@ -1,13 +1,17 @@
 // Tiny JSON helpers shared by the observability exporters (chrome_trace,
 // metrics_registry, manifest) and their consumers (rundiff, tests).
 //
-// Emission: quote/number formatting plus a whole-file writer. Parsing: a
+// Emission: quote/number formatting plus a whole-file writer. The `_to`
+// forms write the same bytes into a caller's buffer without allocating,
+// for hot exporters (the Chrome trace writer). Parsing: a
 // minimal recursive-descent reader covering exactly the JSON the exporters
 // emit (objects, arrays, strings with escapes, numbers, true/false/null),
 // used by qa_diff to canonicalize metrics artifacts and by the exporter
 // tests to round-trip adversarial names.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -19,11 +23,28 @@ namespace qa {
 // (backslash, quote, control characters).
 std::string json_quote(std::string_view s);
 
+// Upper bound on json_quote(s).size(): every byte may become a six-byte
+// \u00XX escape, plus the two quotes.
+constexpr size_t json_quote_max_size(size_t n) { return 6 * n + 2; }
+// Writes json_quote(s) at `out`, which must have json_quote_max_size(
+// s.size()) bytes of room; returns the end of what was written.
+char* json_quote_to(char* out, std::string_view s);
+
 // `v` as a JSON number token. Non-finite values (which JSON cannot
-// represent) become null.
+// represent) become null. A double prints with 12 significant digits
+// when that reads back as exactly `v` (the common, human-friendly case),
+// else with the 17 that round-trip any double.
 std::string json_number(double v);
 std::string json_number(int64_t v);
 std::string json_number(uint64_t v);
+
+// Room json_number_to needs: the longest double token, "-" + 17 digits
+// + "." + "e-308", is 24 bytes.
+inline constexpr size_t kJsonNumberMaxSize = 32;
+// Writes json_number(v) at `out` (kJsonNumberMaxSize bytes of room);
+// returns the end of what was written.
+char* json_number_to(char* out, double v);
+char* json_number_to(char* out, int64_t v);
 
 // Writes `content` to `path`, throwing std::runtime_error when the file
 // cannot be created — the same contract as CsvWriter, so artifact writers

@@ -310,7 +310,7 @@ TEST(SweepFlags, EveryFlagSetsItsOwnField) {
          g->backends = {cc::Backend::kRap, cc::Backend::kNada};
        }},
       {{"--jobs", "3"}, [](auto*, auto* o) { o->jobs = 3; }},
-      {{"--out-dir", "d"}, [](auto*, auto* o) { o->out_dir = "d"; }},
+      {{"--out-dir", "d"}, [](auto*, auto* o) { o->out_dir = std::string("d"); }},
   };
   for (Case& c : base_cases()) {
     cases.push_back({c.args, [expect = c.expect](auto* g, auto*) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/journey.h"
 #include "util/json.h"
 
 namespace qa {
@@ -46,7 +47,9 @@ TEST(FlightRecorder, KeepsEventsInOrder) {
 TEST(FlightRecorder, RingOverwritesOldestFirst) {
   FlightRecorder rec(4);
   for (int i = 0; i < 10; ++i) {
-    rec.note(TimePoint::from_sec(i), "e" + std::to_string(i), "{}");
+    std::string kind = "e";
+    kind += std::to_string(i);
+    rec.note(TimePoint::from_sec(i), kind, "{}");
   }
   EXPECT_EQ(rec.size(), 4u);
   EXPECT_EQ(rec.notes(), 10);
@@ -128,6 +131,91 @@ TEST(FlightRecorder, DestructorDisarmsTheHook) {
   set_check_sink(old_sink);
   std::ifstream in(path);
   EXPECT_FALSE(in.good());
+}
+
+// Journey spans are stored raw and formatted only on dump; the dump must
+// read exactly as the eager per-span format did (lines pinned from it).
+// The script covers spans with and without a hop, an escaped hop name,
+// an unknown journey id, and generic notes interleaved with spans.
+void journey_script(JourneyRecorder& j, FlightRecorder& rec) {
+  const HopId hop = j.register_hop("link \"a\"\\");
+  JourneyOrigin o1;
+  o1.flow = 3;
+  o1.layer = 1;
+  o1.seq = 10;
+  o1.layer_seq = 5;
+  o1.size_bytes = 500;
+  const JourneyId id1 = j.begin_journey(o1, TimePoint::from_ns(1000000000));
+  j.record_hop(id1, JourneyStage::kEnqueue, hop,
+               TimePoint::from_ns(1000000001));
+  rec.note(TimePoint::from_ns(1000000002), "adapter.layer_add",
+           "{\"active_layers\":2}");
+  j.record_hop(id1, JourneyStage::kTxStart, hop,
+               TimePoint::from_ns(1000500000));
+  j.record_hop(id1, JourneyStage::kTxComplete, hop,
+               TimePoint::from_ns(1001000000));
+  j.record_deliver(id1, TimePoint::from_ns(1021000000));
+  j.record_ack(id1, TimePoint::from_ns(1041000000));
+  JourneyOrigin o2;
+  o2.flow = 4;
+  o2.layer = -1;
+  o2.seq = 11;
+  o2.layer_seq = -1;
+  o2.size_bytes = 500;
+  const JourneyId id2 = j.begin_journey(o2, TimePoint::from_ns(1050000000));
+  j.record_hop(id2, JourneyStage::kQueueDrop, hop,
+               TimePoint::from_ns(1050000100));
+  rec.note(TimePoint::from_ns(1060000000), "rap.backoff",
+           "{\"rate_post\":1234.5}");
+  j.record_loss_detected(id2, TimePoint::from_ns(1200000000));
+  j.record_hop(999, JourneyStage::kWireDrop, hop,
+               TimePoint::from_ns(1300000000));
+  j.record_deliver(999, TimePoint::from_ns(1300000001));
+}
+
+constexpr const char* kJourneyDump[] = {
+    R"({"ts_ns":1000000000,"kind":"journey.submit","data":{"id":1,"flow":3,"layer":1,"seq":10}})",
+    R"({"ts_ns":1000000001,"kind":"journey.enqueue","data":{"id":1,"flow":3,"layer":1,"seq":10,"hop":"link \"a\"\\"}})",
+    R"({"ts_ns":1000000002,"kind":"adapter.layer_add","data":{"active_layers":2}})",
+    R"({"ts_ns":1000500000,"kind":"journey.tx_start","data":{"id":1,"flow":3,"layer":1,"seq":10,"hop":"link \"a\"\\"}})",
+    R"({"ts_ns":1001000000,"kind":"journey.tx_complete","data":{"id":1,"flow":3,"layer":1,"seq":10,"hop":"link \"a\"\\"}})",
+    R"({"ts_ns":1021000000,"kind":"journey.deliver","data":{"id":1,"flow":3,"layer":1,"seq":10}})",
+    R"({"ts_ns":1041000000,"kind":"journey.ack","data":{"id":1,"flow":3,"layer":1,"seq":10}})",
+    R"({"ts_ns":1050000000,"kind":"journey.submit","data":{"id":2,"flow":4,"layer":-1,"seq":11}})",
+    R"({"ts_ns":1050000100,"kind":"journey.queue_drop","data":{"id":2,"flow":4,"layer":-1,"seq":11,"hop":"link \"a\"\\"}})",
+    R"({"ts_ns":1060000000,"kind":"rap.backoff","data":{"rate_post":1234.5}})",
+    R"({"ts_ns":1200000000,"kind":"journey.loss_detected","data":{"id":2,"flow":4,"layer":-1,"seq":11}})",
+    R"({"ts_ns":1300000000,"kind":"journey.wire_drop","data":{"id":999,"flow":-1,"layer":-1,"seq":-1,"hop":"link \"a\"\\"}})",
+    R"({"ts_ns":1300000001,"kind":"journey.deliver","data":{"id":999,"flow":-1,"layer":-1,"seq":-1}})",
+};
+
+std::string journey_dump(size_t capacity) {
+  JourneyRecorder journeys;
+  FlightRecorder rec(capacity);
+  auto sub = journeys.on_span().subscribe_scoped(
+      [&](const JourneySpan& span) { rec.note_journey(span, journeys); });
+  journey_script(journeys, rec);
+  EXPECT_EQ(rec.notes(), 13);
+  return rec.to_jsonl();
+}
+
+TEST(FlightRecorder, RawJourneyNotesDumpAsTheEagerFormat) {
+  std::string want;
+  for (const char* line : kJourneyDump) {
+    want += line;
+    want += '\n';
+  }
+  EXPECT_EQ(journey_dump(64), want);
+}
+
+TEST(FlightRecorder, WrappedRingDumpsTheLastJourneyNotes) {
+  // Capacity 5 keeps the last five of the thirteen notes, oldest first.
+  std::string want;
+  for (size_t i = 8; i < 13; ++i) {
+    want += kJourneyDump[i];
+    want += '\n';
+  }
+  EXPECT_EQ(journey_dump(5), want);
 }
 
 }  // namespace

@@ -18,6 +18,14 @@
 namespace qa {
 namespace {
 
+// "e<i>", built by appending ("e" + std::to_string(i) trips GCC 12's
+// -Wrestrict false positive under -Werror).
+std::string event_name(int i) {
+  std::string name = "e";
+  name += std::to_string(i);
+  return name;
+}
+
 // ---- Framing ---------------------------------------------------------------
 
 TEST(SseFraming, SingleFrameRoundTrips) {
@@ -162,7 +170,7 @@ TEST(LiveFeed, SlowConsumerCursorWraparoundResyncs) {
   std::string out;
   ASSERT_TRUE(feed.next_events(&cursor, &out, 0));
   EXPECT_EQ(cursor, 2u);
-  for (int i = 3; i <= 10; ++i) feed.publish_event("e" + std::to_string(i), "{}");
+  for (int i = 3; i <= 10; ++i) feed.publish_event(event_name(i), "{}");
 
   // Events 3..6 are gone (ring holds 7..10): one resync frame carrying
   // the latest full snapshot, then gapless replay of the survivors.
@@ -175,7 +183,7 @@ TEST(LiveFeed, SlowConsumerCursorWraparoundResyncs) {
   EXPECT_EQ(frames[0].id, 6u);
   EXPECT_NE(frames[0].data.find("\"pkts\""), std::string::npos);
   for (int i = 1; i <= 4; ++i) {
-    EXPECT_EQ(frames[i].event, "e" + std::to_string(6 + i));
+    EXPECT_EQ(frames[i].event, event_name(6 + i));
     EXPECT_EQ(frames[i].id, static_cast<uint64_t>(6 + i));
   }
   EXPECT_EQ(cursor, 10u);
@@ -199,7 +207,7 @@ TEST(LiveFeed, UpToDateConsumerNeverSeesResync) {
   ASSERT_TRUE(feed.next_events(&cursor, &out, 0));
   // Keep pace with the publisher across several evictions.
   for (int i = 2; i <= 9; ++i) {
-    feed.publish_event("e" + std::to_string(i), "{}");
+    feed.publish_event(event_name(i), "{}");
     out.clear();
     ASSERT_TRUE(feed.next_events(&cursor, &out, 0));
     EXPECT_EQ(out.find("resync"), std::string::npos);

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace qa {
 namespace {
@@ -116,6 +123,103 @@ TEST(JsonNumber, RoundTripsDoubles) {
     const JsonValue v = parse_or_die(json_number(d));
     EXPECT_DOUBLE_EQ(v.number, d);
   }
+}
+
+// The formatting json_number(double) had before its to_chars fast path:
+// two snprintf calls and a stod round-trip check. Kept here as the
+// byte-for-byte reference. stod throws on subnormal text, so callers
+// keep it away from subnormals.
+std::string reference_json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  const std::string full = buf;
+  std::snprintf(buf, sizeof buf, "%.12g", v);
+  return std::stod(buf) == v ? std::string(buf) : full;
+}
+
+TEST(JsonNumber, MatchesTheSnprintfReferenceOnSampledDoubles) {
+  Rng rng(20261017);
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1e21,
+                                -1e21,
+                                1e12,
+                                -1e12,
+                                1e12 - 1,
+                                1e12 + 1,
+                                999999999999.5,
+                                std::numeric_limits<double>::max(),
+                                -std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                0.1 + 0.2,
+                                1.0 / 3.0};
+  for (int i = 0; i < 30000; ++i) {
+    // Integers around +-1e12, where the integer fast path hands over to
+    // exponent notation.
+    const double offset = rng.uniform(-2e6, 2e6);
+    values.push_back(std::round(1e12 + offset));
+    values.push_back(std::round(-1e12 + offset));
+    // Multiples of 0.1: shortest text is short, yet rarely exact.
+    values.push_back(static_cast<double>(
+                         static_cast<int64_t>(rng.next_below(2000001)) -
+                         1000000) *
+                     0.1);
+    // Any finite normal double, by raw bits (exponent field 1..2046).
+    uint64_t bits = rng.next_u64();
+    const uint64_t exponent = 1 + rng.next_below(2046);
+    bits = (bits & ~(uint64_t{0x7ff} << 52)) | (exponent << 52);
+    double d = 0;
+    std::memcpy(&d, &bits, sizeof d);
+    // Keep clear of the range whose 12-digit text underflows in stod.
+    if (std::fabs(d) > 1e-300) values.push_back(d);
+  }
+  ASSERT_GE(values.size(), 100000u);
+  for (const double v : values) {
+    ASSERT_EQ(json_number(v), reference_json_number(v)) << "bits of " << v;
+  }
+}
+
+TEST(JsonNumber, SubnormalsFormatAndReadBack) {
+  // The 12-digit text of these underflows: stod threw std::out_of_range
+  // on it, and the export died with an uncaught exception.
+  std::vector<double> values = {std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min(),
+                                -std::numeric_limits<double>::min(),
+                                4.94e-324, 1e-310, 2.2250738585072009e-308};
+  Rng rng(7);
+  for (int i = 0; i < 1000; ++i) {
+    const uint64_t bits = rng.next_u64() & ~(uint64_t{0x7ff} << 52);
+    double d = 0;
+    std::memcpy(&d, &bits, sizeof d);
+    values.push_back(d);
+  }
+  for (const double v : values) {
+    std::string text;
+    ASSERT_NO_THROW(text = json_number(v)) << v;
+    EXPECT_EQ(std::strtod(text.c_str(), nullptr), v) << text;
+    EXPECT_EQ(parse_or_die(text).number, v) << text;
+  }
+}
+
+TEST(JsonNumber, BufferFormsMatchTheStringForms) {
+  char buf[kJsonNumberMaxSize];
+  for (const double v : {0.0, -0.0, 1.5, -1e300, 1e21, 0.1,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(std::string(buf, json_number_to(buf, v)), json_number(v));
+  }
+  for (const int64_t v : {int64_t{0}, int64_t{-1}, int64_t{1} << 62,
+                          std::numeric_limits<int64_t>::min()}) {
+    EXPECT_EQ(std::string(buf, json_number_to(buf, v)), json_number(v));
+  }
+  const std::string nasty = "a\"b\\c\n\r\t\x01\x1f/\x7f";
+  std::string out(json_quote_max_size(nasty.size()), '\0');
+  out.resize(static_cast<size_t>(json_quote_to(out.data(), nasty) -
+                                 out.data()));
+  EXPECT_EQ(out, "\"a\\\"b\\\\c\\n\\r\\t\\u0001\\u001f/\x7f\"");
+  EXPECT_EQ(out, json_quote(nasty));
 }
 
 }  // namespace
