@@ -1,10 +1,8 @@
 // micro_scheduler — event-throughput benchmark of the scheduler hot path.
 //
-// Compares today's sim::Scheduler (4-ary heap over 24-byte items,
-// pool-allocated event nodes, SmallFn callbacks) against a faithful
-// replica of the previous implementation (binary std::push_heap over fat
-// entries, per-event std::function, unordered_set live/cancelled
-// bookkeeping) on the two patterns that dominate real simulations:
+// Drives sim::Scheduler (4-ary heap over 24-byte items, pool-allocated
+// event nodes, SmallFn callbacks) through the two patterns that dominate
+// real simulations:
 //
 //   churn:  self-rescheduling chains (packet clocks, sampling probes) with
 //           a capture too fat for std::function's inline buffer — pure
@@ -13,21 +11,16 @@
 //           events are cancelled before firing — exercises cancellation
 //           and lazy compaction.
 //
-// Both schedulers run identical workloads through the same templated
-// driver. Results print as a table and are recorded in BENCH_sched.json
-// (ops/s per side, speedup, wall time, peak RSS) for the CI perf artifact.
+// Results print as a table and are written as a JSON record (ops/s, wall
+// time per workload, peak RSS) to bench_out/BENCH_sched.json or --json
+// FILE. The tracked end-to-end speed record is perfbench/.
 //
 //   micro_scheduler                      # default 2M ops per workload
-//   micro_scheduler --ops 500000 --json /tmp/BENCH_sched.json
-#include <algorithm>
+//   micro_scheduler --ops 500000 --json /tmp/sched.json
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <string>
-#include <unordered_set>
-#include <utility>
-#include <vector>
 
 #include "bench_util.h"
 #include "sim/scheduler.h"
@@ -40,90 +33,6 @@ using namespace qa;
 
 namespace {
 
-// ---- Baseline: the previous scheduler, verbatim in structure. ------------
-//
-// Binary heap of fat entries (moved wholesale on every sift), a
-// std::function per event, and two unordered_sets consulted on the
-// schedule/cancel/pop paths. Kept self-contained here so the comparison
-// survives future changes to sim::Scheduler.
-class LegacyScheduler {
- public:
-  using EventId = uint64_t;
-
-  TimePoint now() const { return now_; }
-
-  EventId schedule_at(TimePoint at, std::function<void()> fn) {
-    const EventId id = ++next_id_;
-    heap_.push_back(Entry{at, next_seq_++, id, std::move(fn)});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    live_.insert(id);
-    return id;
-  }
-
-  EventId schedule_after(TimeDelta delay, std::function<void()> fn) {
-    return schedule_at(now_ + delay, std::move(fn));
-  }
-
-  void cancel(EventId id) {
-    if (live_.erase(id) == 0) return;
-    cancelled_.insert(id);
-    compact_if_worthwhile();
-  }
-
-  void run_until(TimePoint until) {
-    while (true) {
-      prune_top();
-      if (heap_.empty() || heap_.front().at > until) break;
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      Entry e = std::move(heap_.back());
-      heap_.pop_back();
-      live_.erase(e.id);
-      now_ = e.at;
-      e.fn();
-    }
-    if (now_ < until) now_ = until;
-  }
-
- private:
-  struct Entry {
-    TimePoint at;
-    uint64_t seq = 0;
-    EventId id = 0;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  void compact_if_worthwhile() {
-    if (cancelled_.size() < 64 || cancelled_.size() * 2 < heap_.size()) return;
-    std::erase_if(heap_,
-                  [&](const Entry& e) { return cancelled_.count(e.id) > 0; });
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
-    cancelled_.clear();
-  }
-
-  void prune_top() {
-    while (!heap_.empty() && cancelled_.count(heap_.front().id) > 0) {
-      cancelled_.erase(heap_.front().id);
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
-    }
-  }
-
-  TimePoint now_ = TimePoint::origin();
-  uint64_t next_id_ = 0;
-  uint64_t next_seq_ = 1;
-  std::vector<Entry> heap_;
-  std::unordered_set<EventId> live_;
-  std::unordered_set<EventId> cancelled_;
-};
-
-// ---- Workloads (identical for both schedulers). --------------------------
-
 // A capture the size of a realistic handler closure ("this" plus a few
 // values): beyond std::function's inline buffer, within SmallFn's 48 bytes.
 struct FatCapture {
@@ -134,12 +43,11 @@ struct FatCapture {
 
 // `width` self-rescheduling chains, each hopping 1 ms, until `ops` total
 // dispatches. The dominant pattern of the simulator's steady state.
-template <typename Sched>
 double churn_workload(uint64_t ops, int width) {
-  Sched s;
+  sim::Scheduler s;
   uint64_t fired = 0;
   struct Chain {
-    Sched* s;
+    sim::Scheduler* s;
     uint64_t* fired;
     uint64_t limit;
     FatCapture pad;  // copied with the functor on every reschedule
@@ -167,9 +75,8 @@ double churn_workload(uint64_t ops, int width) {
 
 // Retransmission-timer pattern: schedule a timer per iteration, cancel
 // 3 of 4 before they fire, drain periodically.
-template <typename Sched>
 double timer_workload(uint64_t ops) {
-  Sched s;
+  sim::Scheduler s;
   uint64_t fired = 0;
   const auto start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < ops; ++i) {
@@ -199,12 +106,11 @@ struct Side {
   }
 };
 
-template <typename Sched>
 Side run_side(uint64_t ops, int width, int repeats) {
   Side best;  // min-of-N: the usual noise filter for micro-benchmarks
   for (int r = 0; r < repeats; ++r) {
-    const double churn = churn_workload<Sched>(ops, width);
-    const double timer = timer_workload<Sched>(ops);
+    const double churn = churn_workload(ops, width);
+    const double timer = timer_workload(ops);
     if (r == 0 || churn < best.churn_wall) best.churn_wall = churn;
     if (r == 0 || timer < best.timer_wall) best.timer_wall = timer;
   }
@@ -232,43 +138,26 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  bench::banner("micro_scheduler: event throughput, legacy vs current");
+  bench::banner("micro_scheduler: event throughput");
   std::printf("ops per workload: %llu, chains: %d, repeats: %d (min taken)\n",
               static_cast<unsigned long long>(ops), width, repeats);
 
-  const Side legacy = run_side<LegacyScheduler>(ops, width, repeats);
-  const Side current = run_side<sim::Scheduler>(ops, width, repeats);
+  const Side side = run_side(ops, width, repeats);
+  const double ops_per_sec = side.ops_per_sec(ops);
 
-  const double base_ops = legacy.ops_per_sec(ops);
-  const double opt_ops = current.ops_per_sec(ops);
-  const double speedup = base_ops > 0 ? opt_ops / base_ops : 0;
-
-  bench::TablePrinter table({"side", "churn_s", "timer_s", "Mops/s"});
+  bench::TablePrinter table({"churn_s", "timer_s", "Mops/s"});
   table.print_header();
-  table.print_row({"legacy", bench::fmt(legacy.churn_wall, 3),
-                   bench::fmt(legacy.timer_wall, 3),
-                   bench::fmt(base_ops / 1e6, 2)});
-  table.print_row({"current", bench::fmt(current.churn_wall, 3),
-                   bench::fmt(current.timer_wall, 3),
-                   bench::fmt(opt_ops / 1e6, 2)});
-  std::printf("speedup: %.2fx\n", speedup);
+  table.print_row({bench::fmt(side.churn_wall, 3),
+                   bench::fmt(side.timer_wall, 3),
+                   bench::fmt(ops_per_sec / 1e6, 2)});
 
   std::string json = "{\n";
   json += "  \"bench\": \"micro_scheduler\",\n";
   json += "  \"ops_per_workload\": " + json_number(ops) + ",\n";
-  json += "  \"baseline_ops_per_sec\": " + json_number(base_ops) + ",\n";
-  json += "  \"optimized_ops_per_sec\": " + json_number(opt_ops) + ",\n";
-  json += "  \"speedup\": " + json_number(speedup) + ",\n";
-  json += "  \"baseline_churn_wall_s\": " + json_number(legacy.churn_wall) +
-          ",\n";
-  json += "  \"baseline_timer_wall_s\": " + json_number(legacy.timer_wall) +
-          ",\n";
-  json += "  \"optimized_churn_wall_s\": " + json_number(current.churn_wall) +
-          ",\n";
-  json += "  \"optimized_timer_wall_s\": " + json_number(current.timer_wall) +
-          ",\n";
-  json += "  \"wall_s\": " +
-          json_number(legacy.total_wall() + current.total_wall()) + ",\n";
+  json += "  \"ops_per_sec\": " + json_number(ops_per_sec) + ",\n";
+  json += "  \"churn_wall_s\": " + json_number(side.churn_wall) + ",\n";
+  json += "  \"timer_wall_s\": " + json_number(side.timer_wall) + ",\n";
+  json += "  \"wall_s\": " + json_number(side.total_wall()) + ",\n";
   json += "  \"peak_rss_bytes\": " + json_number(peak_rss_bytes()) + "\n";
   json += "}\n";
   write_text_file(json_path, json);

@@ -6,11 +6,11 @@
 // Compares per-session LayeredVideo construction (what a naive SessionConfig
 // does: re-allocate the stream description for every arrival) against the
 // farm's shared-prototype path (one LayeredVideo allocation for the whole
-// run, handed to every session via shared_ptr). Results are recorded in
-// BENCH_farm.json for the CI perf artifact.
+// run, handed to every session via shared_ptr). Results are written as a
+// JSON record to bench_out/BENCH_farm.json or --json FILE.
 //
 //   micro_session_churn                       # default 20k sessions/side
-//   micro_session_churn --sessions 5000 --json /tmp/BENCH_farm.json
+//   micro_session_churn --sessions 5000 --json /tmp/farm.json
 #include <chrono>
 #include <cstdint>
 #include <cstdio>

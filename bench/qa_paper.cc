@@ -151,7 +151,7 @@ void fig01() {
   topo.bottleneck_queue_bytes = 2000;
   sim::Dumbbell d = sim::build_dumbbell(net, topo);
 
-  rap::RapParams params;
+  cc::CcParams params;
   params.packet_size = 500;
   params.initial_rate = Rate::kilobytes_per_sec(4);
   const auto [src, sink] =
@@ -1095,7 +1095,7 @@ MixResult run_mix(int rap_flows, int tcp_flows, bool qa_on_first,
       rap_sinks.push_back(&session->rap_sink());
       continue;
     }
-    rap::RapParams rp;
+    cc::CcParams rp;
     rp.packet_size = 250;
     rp.initial_rate = Rate::bytes_per_sec(1'250);
     rp.start_time = TimePoint::from_sec(rng.uniform(0.0, 1.0));

@@ -113,7 +113,7 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
   // --- Competing plain RAP flows (pairs 1..rap_flows-1). -----------------
   std::vector<rap::RapSource*> rap_competitors;
   for (int i = 1; i < params.rap_flows; ++i) {
-    rap::RapParams rp;
+    cc::CcParams rp;
     rp.packet_size = params.packet_size;
     rp.initial_rate = params.layer_rate;
     rp.initial_rtt = params.rtt;

@@ -86,10 +86,6 @@ class Farm {
       // Created up front so the row exists even in runs where the ladder
       // never leaves kNormal.
       params_.registry->gauge("farm.ladder.level").set(0);
-      if (params_.live != nullptr) {
-        live_snapshotter_ =
-            std::make_unique<MetricsSnapshotter>(params_.registry);
-      }
     }
   }
 
@@ -152,26 +148,17 @@ class Farm {
     return -1;
   }
 
-  // Event-site counter increment: the live scraper sees the ledger move as
-  // it happens; end-of-run totals match the old finalize()-time export.
+  // Event-site counter increment: a mid-run snapshot sees the ledger move
+  // as it happens; end-of-run totals match the old finalize()-time export.
   void inc_counter(const char* name, int64_t delta = 1) {
     if (params_.registry != nullptr) {
       params_.registry->counter(name).inc(delta);
     }
   }
 
-  // Flight-recorder note + live SSE "note" event (same payload shape as
-  // Observability::live_note, so one console renders both kinds of run).
-  void note(TimePoint now, std::string_view kind,
-            const std::string& detail_json) {
+  void note(TimePoint now, std::string_view kind, std::string detail_json) {
     if (params_.flightrec != nullptr) {
-      params_.flightrec->note(now, kind, detail_json);
-    }
-    if (params_.live != nullptr) {
-      params_.live->publish_event(
-          "note", "{\"t\": " + json_number(now.sec()) +
-                      ", \"kind\": " + json_quote(kind) +
-                      ", \"detail\": " + detail_json + "}");
+      params_.flightrec->note(now, kind, std::move(detail_json));
     }
   }
 
@@ -460,23 +447,6 @@ class Farm {
       params_.registry->gauge("farm.queue_frac").set(sm.queue_frac);
     }
     if (params_.on_sample) params_.on_sample(now);
-    if (live_snapshotter_ != nullptr) {
-      const MetricsSnapshot& snap = live_snapshotter_->capture();
-      params_.live->publish_snapshot(snap);
-      bool changed = snap.seq == 1;
-      for (const MetricsSnapshot::Entry& e : snap.entries) {
-        if (e.last_changed > live_prev_seq_) {
-          changed = true;
-          break;
-        }
-      }
-      if (changed) {
-        params_.live->publish_event("metrics",
-                                    snap.to_json(live_prev_seq_));
-      }
-      live_prev_seq_ = snap.seq;
-    }
-    if (params_.live_pacer) params_.live_pacer(now);
 
     result_.series.push_back(sm);
   }
@@ -655,9 +625,6 @@ class Farm {
   std::optional<double> rebuffer_ewma_;
   TimePoint last_shed_;
   bool shed_happened_ = false;
-  // Live streaming (created when params.live && params.registry).
-  std::unique_ptr<MetricsSnapshotter> live_snapshotter_;
-  uint64_t live_prev_seq_ = 0;
   FarmResult result_;
 };
 

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,6 @@
 #include "sim/topology.h"
 #include "util/chrome_trace.h"
 #include "util/flightrec.h"
-#include "util/http_sse.h"
 #include "util/metrics_registry.h"
 #include "util/rundiff.h"
 #include "util/sketch.h"
@@ -97,22 +97,18 @@ struct FarmParams {
   // Optional: fold per-session metrics and farm aggregates into this
   // registry (bounded: histograms shared across all sessions). Admission
   // verdict and churn counters ("farm.arrivals", "farm.admitted", ...)
-  // are incremented at their event sites, so a live scraper sees them
-  // move; final totals are identical to the pre-incremental export.
+  // are incremented at their event sites, so a mid-run snapshot sees
+  // them move; final totals are identical to the pre-incremental export.
   MetricsRegistry* registry = nullptr;
 
-  // Optional observability fan-out (all not owned, all may be null):
+  // Optional observability fan-out (both not owned, both may be null):
   // admission verdicts and shed-ladder rung transitions as instants +
-  // counter track on ChromeTraceWriter::kFarmTrack, flight-recorder notes,
-  // and live SSE events + per-sample snapshot deltas (needs `registry`).
+  // counter track on ChromeTraceWriter::kFarmTrack, and flight-recorder
+  // notes.
   ChromeTraceWriter* trace = nullptr;
   FlightRecorder* flightrec = nullptr;
-  LiveFeed* live = nullptr;
-  // Invoked after each sample's live publish with the sample's sim time;
-  // a tool injects a wall-clock sleeper for real-time pacing.
-  std::function<void(TimePoint)> live_pacer;
-  // Invoked right after each aggregate sample updates the farm.* gauges
-  // (before the live publish), with the sample's sim time. This is the
+  // Invoked right after each aggregate sample updates the farm.* gauges,
+  // with the sample's sim time. This is the
   // evaluation-tier hook: qa_slo drives a TimeSeriesRecorder + SloEngine
   // on the farm's own deterministic sample grid through it.
   std::function<void(TimePoint)> on_sample;

@@ -85,11 +85,6 @@ void Observability::attach_scheduler(sim::Scheduler& sched) {
           trace_->span_end(rec.at, ChromeTraceWriter::kSchedulerTrack);
         }));
   }
-  if (cfg_.live.feed != nullptr) {
-    QA_CHECK(cfg_.live.cadence > TimeDelta::zero());
-    sched.schedule_after(cfg_.live.cadence, [this] { live_tick(); },
-                         EventCategory::kProbe);
-  }
   if (cfg_.recorder != nullptr) {
     sched.schedule_after(cfg_.sample_cadence, [this] { obs_tick(); },
                          EventCategory::kProbe);
@@ -107,44 +102,18 @@ void Observability::obs_tick() {
 
 void Observability::on_slo_transition(const SloEngine::Transition& tr,
                                       const SloObjective& obj) {
-  const std::string detail =
-      "{\"objective\": " + json_quote(tr.objective) +
-      ", \"series\": " + json_quote(obj.series) +
-      ", \"fast\": " + json_number(tr.fast_value) +
-      ", \"slow\": " + json_number(tr.slow_value) +
-      ", \"threshold\": " + json_number(obj.threshold) + "}";
-  flightrec_note(tr.t, tr.open ? "slo.open" : "slo.close", detail);
-  live_note(tr.t, tr.open ? "slo.open" : "slo.close", detail);
+  flightrec_note(tr.t, tr.open ? "slo.open" : "slo.close",
+                 "{\"objective\": " + json_quote(tr.objective) +
+                     ", \"series\": " + json_quote(obj.series) +
+                     ", \"fast\": " + json_number(tr.fast_value) +
+                     ", \"slow\": " + json_number(tr.slow_value) +
+                     ", \"threshold\": " + json_number(obj.threshold) + "}");
   if (trace_) {
     trace_->instant(
         tr.t, ChromeTraceWriter::kSloTrack,
         std::string(tr.open ? "slo_open " : "slo_close ") + tr.objective,
         {{"fast", tr.fast_value}, {"slow", tr.slow_value}});
   }
-}
-
-void Observability::live_tick() {
-  if (finished_) return;
-  const MetricsSnapshot& snap = snapshotter_.capture();
-  cfg_.live.feed->publish_snapshot(snap);
-  // An SSE delta frame only when something actually moved (the first
-  // capture always counts — it seeds connected consumers).
-  bool changed = snap.seq == 1;
-  for (const MetricsSnapshot::Entry& e : snap.entries) {
-    if (e.last_changed > live_prev_seq_) {
-      changed = true;
-      break;
-    }
-  }
-  if (changed) {
-    cfg_.live.feed->publish_event("metrics", snap.to_json(live_prev_seq_));
-  }
-  live_prev_seq_ = snap.seq;
-  // The pacer may sleep on a wall clock (outside the sim), stretching the
-  // cadence to real time; sim state is untouched either way.
-  if (cfg_.live.pacer) cfg_.live.pacer(sched_->now());
-  sched_->schedule_after(cfg_.live.cadence, [this] { live_tick(); },
-                         EventCategory::kProbe);
 }
 
 void Observability::attach_link(sim::Link& link, const std::string& name) {
@@ -206,14 +175,6 @@ void Observability::attach_controller(cc::CongestionController& src) {
   Counter& timeout_losses = registry_.counter(prefix + ".timeout_losses");
   Counter& quiescence = registry_.counter(prefix + ".quiescence_entries");
   Histogram& rate_hist = registry_.histogram(prefix + ".rate_bytes_per_sec");
-  if (cfg_.live.feed != nullptr) {
-    // Sampled every cadence tick: the rate trajectory as a live gauge.
-    // Registered only in live mode so non-live tools' metrics.json stays
-    // byte-stable across this feature.
-    registry_.register_gauge("live." + prefix + ".rate_bytes_per_sec",
-                             [&src] { return src.rate().bps(); });
-  }
-
   // Trace and note names, built once here rather than per event.
   const std::string rate_track = prefix + " rate";
   const std::string backoff_kind = prefix + ".backoff";
@@ -234,8 +195,6 @@ void Observability::attach_controller(cc::CongestionController& src) {
         backoffs.inc();
         flightrec_note(t, backoff_kind,
                        "{\"rate_post\":" + json_number(r.bps()) + "}");
-        live_note(t, backoff_kind,
-                  "{\"rate_post\": " + json_number(r.bps()) + "}");
         if (trace_) {
           trace_->instant(t, ChromeTraceWriter::kTransportTrack, "backoff",
                           {{"rate_post", r.bps()}});
@@ -254,7 +213,6 @@ void Observability::attach_controller(cc::CongestionController& src) {
       [this, enter_kind, exit_kind, &quiescence](TimePoint t, bool active) {
         if (active) quiescence.inc();
         flightrec_note(t, active ? enter_kind : exit_kind, "{}");
-        live_note(t, active ? enter_kind : exit_kind, "{}");
         if (trace_) {
           trace_->instant(t, ChromeTraceWriter::kTransportTrack,
                           active ? "quiescence_enter" : "quiescence_exit");
@@ -267,28 +225,10 @@ void Observability::attach_adapter(core::QualityAdapter& adapter) {
   Counter& padding = registry_.counter("adapter.padding_slots");
   Counter& media = registry_.counter("adapter.media_packets");
   Histogram& buf_hist = registry_.histogram("adapter.total_buffer_bytes");
-  if (cfg_.live.feed != nullptr) {
-    // Per-layer buffer fill, sampled at cadence. Inactive layers read 0
-    // (the receiver model only exposes buffers up to active_layers()).
-    registry_.register_gauge("live.adapter.active_layers", [&adapter] {
-      return static_cast<double>(adapter.active_layers());
-    });
-    for (int k = 0; k < adapter.config().max_layers; ++k) {
-      registry_.register_gauge(
-          "live.adapter.layer" + std::to_string(k) + ".buffer_bytes",
-          [&adapter, k] {
-            return k < adapter.active_layers() ? adapter.receiver().buffer(k)
-                                               : 0.0;
-          });
-    }
-  }
-
   subs_.push_back(adapter.on_drop().subscribe_scoped(
       [this](const core::DropEvent& e) {
         flightrec_note(e.time, "adapter.layer_drop",
                        "{\"layer\":" + json_number(int64_t{e.layer}) + "}");
-        live_note(e.time, "adapter.layer_drop",
-                  "{\"layer\": " + json_number(int64_t{e.layer}) + "}");
         if (!trace_) return;
         trace_->instant(e.time, ChromeTraceWriter::kAdapterTrack,
                         "layer_drop",
@@ -304,9 +244,6 @@ void Observability::attach_adapter(core::QualityAdapter& adapter) {
             e.time, "adapter.layer_add",
             "{\"active_layers\":" + json_number(int64_t{e.new_active_layers}) +
                 "}");
-        live_note(e.time, "adapter.layer_add",
-                  "{\"active_layers\": " +
-                      json_number(int64_t{e.new_active_layers}) + "}");
         if (!trace_) return;
         trace_->instant(e.time, ChromeTraceWriter::kAdapterTrack, "layer_add",
                         {{"active_layers", e.new_active_layers}});
@@ -343,8 +280,6 @@ void Observability::attach_client(VideoClient& client) {
       [this](TimePoint t, bool paused) {
         flightrec_note(
             t, paused ? "client.rebuffer_start" : "client.rebuffer_end", "{}");
-        live_note(t, paused ? "client.rebuffer_start" : "client.rebuffer_end",
-                  "{}");
         if (!trace_) return;
         trace_->instant(t, ChromeTraceWriter::kClientTrack,
                         paused ? "rebuffer_start" : "rebuffer_end");
@@ -374,11 +309,9 @@ void Observability::attach_fault_injector(sim::FaultInjector& inj) {
       [this, &faults](const sim::FaultEvent& ev) {
         faults.inc();
         const char* kind = sim::to_string(ev.kind);
-        const std::string detail = "{\"fault\": " + json_quote(kind) +
-                                   ", \"value\": " + json_number(ev.value) +
-                                   "}";
-        flightrec_note(ev.at, std::string("fault.") + kind, detail);
-        live_note(ev.at, std::string("fault.") + kind, detail);
+        flightrec_note(ev.at, std::string("fault.") + kind,
+                       "{\"fault\": " + json_quote(kind) +
+                           ", \"value\": " + json_number(ev.value) + "}");
         if (trace_) {
           trace_->instant(ev.at, ChromeTraceWriter::kLinkTrack,
                           std::string("fault ") + kind,
@@ -392,19 +325,11 @@ void Observability::flightrec_note(TimePoint t, std::string_view kind,
   if (flightrec_) flightrec_->note(t, kind, std::move(detail_json));
 }
 
-void Observability::live_note(TimePoint t, std::string_view kind,
-                              const std::string& detail_json) {
-  if (cfg_.live.feed == nullptr) return;
-  std::string data = "{\"t\": " + json_number(t.sec()) + ", \"kind\": " +
-                     json_quote(kind) + ", \"detail\": " + detail_json + "}";
-  cfg_.live.feed->publish_event("note", data);
-}
-
 void Observability::on_journey_span(const JourneySpan& span) {
   if (flightrec_) flightrec_->note_journey(span, journeys_);
   // Lifecycle milestones only — the per-hop churn (enqueue, tx
-  // start/complete) stays in the flight recorder, keeping trace-lane and
-  // SSE volume proportional to packets, not hops.
+  // start/complete) stays in the flight recorder, keeping trace-lane
+  // volume proportional to packets, not hops.
   switch (span.stage) {
     case JourneyStage::kEnqueue:
     case JourneyStage::kTxStart:
@@ -412,24 +337,6 @@ void Observability::on_journey_span(const JourneySpan& span) {
       return;
     default:
       break;
-  }
-  // Opt-in journey lane over the live feed. Published into the same
-  // bounded ring as notes/metrics (oldest frames fall off), and published
-  // identically whether or not a server is attached — the served-vs-
-  // headless digest test pins that connected consumers cannot perturb it.
-  if (cfg_.live.feed != nullptr && cfg_.live.journey_events) {
-    std::string data = "{\"t\": " + json_number(span.at.sec()) +
-                       ", \"stage\": " +
-                       json_quote(journey_stage_name(span.stage)) +
-                       ", \"id\": " + json_number(uint64_t{span.id}) +
-                       ", \"flow\": " + json_number(int64_t{span.flow}) +
-                       ", \"layer\": " + json_number(int64_t{span.layer}) +
-                       ", \"seq\": " + json_number(span.seq);
-    if (span.hop != kNoHop) {
-      data += ", \"hop\": " + json_quote(journeys_.hop_name(span.hop));
-    }
-    data += "}";
-    cfg_.live.feed->publish_event("journey", data);
   }
   if (!trace_ || span.layer < 0) return;
   const int track = ChromeTraceWriter::kJourneyTrackBase + span.layer;
@@ -466,14 +373,6 @@ void Observability::finish() {
   // function of (trajectories × cadence grid).
   if (cfg_.recorder != nullptr && sched_ != nullptr) {
     cfg_.recorder->sample(end_time_);
-  }
-  // The closing live publish happens while the attached objects are still
-  // alive (callback gauges read them), before subscriptions drop.
-  if (cfg_.live.feed != nullptr) {
-    const MetricsSnapshot& snap = snapshotter_.capture();
-    cfg_.live.feed->publish_snapshot(snap);
-    cfg_.live.feed->publish_event("metrics", snap.to_json(live_prev_seq_));
-    live_prev_seq_ = snap.seq;
   }
   // Drop subscriptions first: nothing may write to the trace after close.
   subs_.clear();

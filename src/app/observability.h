@@ -27,7 +27,6 @@
 #include "util/chrome_trace.h"
 #include "util/event.h"
 #include "util/flightrec.h"
-#include "util/http_sse.h"
 #include "util/journey.h"
 #include "util/manifest.h"
 #include "util/metrics_registry.h"
@@ -42,29 +41,6 @@ namespace qa::app {
 
 class Session;
 class VideoClient;
-
-// Live streaming (the qa_live tool): when `feed` is set, the hub becomes a
-// LiveHub — it captures a versioned metrics snapshot every `cadence` of
-// sim time and publishes it (full snapshot + changed-rows SSE delta) into
-// the feed, and forwards notable transitions (backoffs, layer add/drop,
-// rebuffers, faults, admission verdicts) as SSE "note" events. Publishing
-// is copy-in under the feed's mutex; the sim thread never blocks on a
-// socket, so connected clients cannot perturb the run (DESIGN.md §15).
-//
-// `pacer` is invoked after every publish with the tick's sim time. App
-// code never reads wall clocks (the determinism analyzer forbids it); a
-// tool wanting real-time playback injects a wall-clock sleeper here.
-struct LiveConfig {
-  LiveFeed* feed = nullptr;  // not owned; null = live streaming off
-  TimeDelta cadence = TimeDelta::millis(100);
-  std::function<void(TimePoint)> pacer;
-  // Opt-in `journey` SSE event class: packet-journey lifecycle milestones
-  // (send, deliver, consume — the same filter as the trace lanes, never
-  // per-hop churn) forwarded through the feed's bounded ring. Off by
-  // default: journey volume is per-packet, so the ring would chew through
-  // its backlog quickly on long runs.
-  bool journey_events = false;
-};
 
 struct ObservabilityConfig {
   // Artifact directory (must already exist). Empty: no files are written,
@@ -81,17 +57,14 @@ struct ObservabilityConfig {
   // invariant fails mid-run (path recorded in the manifest).
   bool flightrec = true;
   size_t flightrec_events = 1024;
-  // Live streaming config; inert unless live.feed is set.
-  LiveConfig live;
   // Evaluation tier (util/timeseries.h + util/slo.h). When `recorder` is
   // set, the hub samples it every `sample_cadence` of sim time on a kProbe
-  // tick (O(changed rows) per tick; the recorder owns its own snapshotter,
-  // so the live feed's delta sequence is untouched). When `slo` is also
-  // set, the engine is evaluated on the same cadence grid — the grid is
-  // part of the alert timeline's determinism contract (DESIGN.md §16) —
-  // and every alert open/close fans out to the flight recorder, a
-  // Chrome-trace instant on kSloTrack, and the live note feed. Neither
-  // pointer is owned; both must outlive finish().
+  // tick (O(changed rows) per tick; the recorder owns its snapshotter).
+  // When `slo` is also set, the engine is evaluated on the same cadence
+  // grid — the grid is part of the alert timeline's determinism contract
+  // (DESIGN.md §16) — and every alert open/close fans out to the flight
+  // recorder and a Chrome-trace instant on kSloTrack. Neither pointer is
+  // owned; both must outlive finish().
   TimeSeriesRecorder* recorder = nullptr;
   SloEngine* slo = nullptr;
   TimeDelta sample_cadence = TimeDelta::millis(100);
@@ -119,10 +92,9 @@ class Observability {
   // `name` keys the link's metrics ("link.<name>.*") and counter tracks.
   void attach_link(sim::Link& link, const std::string& name);
   // Wires a congestion controller's trace points into counters, the rate
-  // histogram, flight-recorder notes, and live notes. Metric rows are
-  // prefixed with the controller's canonical name — "rap.*" for the RAP
-  // backend (the historic rows every golden pins), "tfrc.*"/"nada.*" for
-  // the others.
+  // histogram, and flight-recorder notes. Metric rows are prefixed with
+  // the controller's canonical name — "rap.*" for the RAP backend (the
+  // historic rows every golden pins), "tfrc.*"/"nada.*" for the others.
   void attach_controller(cc::CongestionController& src);
   void attach_adapter(core::QualityAdapter& adapter);
   void attach_client(VideoClient& client);
@@ -130,8 +102,8 @@ class Observability {
   // session.
   void attach_session(Session& session);
   // Fault timeline: counts fault activations ("fault.events"), records
-  // them in the flight recorder, draws trace instants on the link track,
-  // and streams them as live notes.
+  // them in the flight recorder and draws trace instants on the link
+  // track.
   void attach_fault_injector(sim::FaultInjector& inj);
 
   // Flushes every artifact (metrics snapshot as CSV and JSON, manifest,
@@ -144,15 +116,9 @@ class Observability {
   void on_journey_span(const JourneySpan& span);
   void flightrec_note(TimePoint t, std::string_view kind,
                       std::string detail_json);
-  // Publishes an SSE "note" event ({"t", "kind", "detail"}) to the live
-  // feed; no-op without one.
-  void live_note(TimePoint t, std::string_view kind,
-                 const std::string& detail_json);
-  // One cadence tick: capture, publish snapshot + delta, pace, reschedule.
-  void live_tick();
   // One evaluation tick: recorder sample + SLO evaluate, reschedule.
   void obs_tick();
-  // Alert open/close fan-out (flight recorder, trace instant, live note).
+  // Alert open/close fan-out (flight recorder, trace instant).
   void on_slo_transition(const SloEngine::Transition& tr,
                          const SloObjective& obj);
 
@@ -167,8 +133,6 @@ class Observability {
   std::vector<bool> journey_track_named_;
   std::vector<ScopedSubscription> subs_;
   sim::Scheduler* sched_ = nullptr;
-  MetricsSnapshotter snapshotter_{&registry_};
-  uint64_t live_prev_seq_ = 0;  // last published capture, for deltas
   // Sim end time recorded by finish() before the scheduler detaches, so
   // time-dependent callback gauges (rebuffer paused_s) stay correct in the
   // final artifact snapshot.

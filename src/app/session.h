@@ -9,8 +9,8 @@
 // prototype so per-session construction does not re-allocate the stream
 // description. The farm keeps Sessions in reusable slots
 // (std::optional<Session> emplace/reset), so a departed session's storage
-// is recycled in place. bench/micro_session_churn pins the build+teardown
-// rate (BENCH_farm.json).
+// is recycled in place. bench/micro_session_churn measures the
+// build+teardown rate.
 #pragma once
 
 #include <memory>
@@ -28,7 +28,7 @@ struct SessionConfig {
   // Which congestion-control law drives the stream. The rest of the stack
   // (server, adapter, client, sink) is backend-agnostic.
   cc::Backend backend = cc::Backend::kRap;
-  rap::RapParams rap;  // shared CcParams (historic field name)
+  cc::CcParams rap;  // historic field name
   VideoServerOptions server;
   int stream_layers = 8;
   Rate layer_rate = Rate::kilobytes_per_sec(10);

@@ -249,20 +249,11 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opts) {
   // in wall_s / the wall_* report fields, which qa_diff ignores by contract.
   const auto start = std::chrono::steady_clock::now();
   std::atomic<size_t> cursor{0};
-  std::atomic<size_t> completed{0};
-  auto worker = [&grid, &points, &cursor, &completed, &opts, &result] {
+  auto worker = [&grid, &points, &cursor, &result] {
     while (true) {
       const size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
       if (k >= points.size()) return;
-      if (opts.on_job_start) opts.on_job_start(points[k]);
       result.rows[k] = run_point(grid, points[k]);
-      if (opts.on_progress) {
-        // acq_rel so the callback (running on whichever worker finished
-        // last) observes a fully written row.
-        const size_t done =
-            completed.fetch_add(1, std::memory_order_acq_rel) + 1;
-        opts.on_progress(result.rows[k], done, points.size());
-      }
     }
   };
 

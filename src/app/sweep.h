@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -120,18 +119,6 @@ struct SweepOptions {
   // When non-empty: write sweep.csv, sweep.json, and manifest.json here
   // (directory is created).
   std::string out_dir;
-  // Progress hook, invoked once per completed grid point with that point's
-  // row, the number of rows finished so far, and this shard's total.
-  // CONCURRENT: called from worker threads (any order, possibly at once);
-  // the callee must synchronize. Completion counting is atomic, so `done`
-  // values are unique and reach `total` exactly once. Never called on the
-  // result rows' memory after run_sweep returns.
-  std::function<void(const SweepRow& row, size_t done, size_t total)>
-      on_progress;
-  // Start hook, invoked when a worker claims grid point `index` (before the
-  // scenario runs). Same CONCURRENT contract as on_progress. Progress
-  // consoles use the start/finish pair to show running-vs-pending cells.
-  std::function<void(size_t index)> on_job_start;
 };
 
 struct SweepResult {

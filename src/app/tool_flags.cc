@@ -244,9 +244,6 @@ void read_sweep_flags(const Flags& flags, SweepGrid* grid, SweepOptions* opts) {
   visit_base_flags(read, &grid->base);
   opts->jobs = static_cast<int>(flags.get_int("jobs", host_cpu_count()));
   opts->out_dir = flags.get_or("out-dir", opts->out_dir);
-}
-
-void read_shard_flag(const Flags& flags, SweepOptions* opts) {
   if (const auto v = flags.get("shard")) {
     int index = -1;
     int count = 0;
@@ -273,7 +270,8 @@ std::string sweep_flags_usage(SweepGrid defaults) {
          "                         flags override)\n"
          "  Execution:\n"
          "  --jobs N               worker threads (default: host cores)\n"
-         "  --out-dir DIR          write sweep.csv/sweep.json/manifest.json\n";
+         "  --out-dir DIR          write sweep.csv/sweep.json/manifest.json\n"
+         "  --shard I/K            run grid indices congruent to I mod K\n";
 }
 
 void read_farm_flags(const Flags& flags, FarmParams* params) {

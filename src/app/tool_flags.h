@@ -7,8 +7,9 @@
 // *_usage() prints one line per flag with the default taken from the same
 // preset. A bad enumerated value (--backend, --allocation, --preset,
 // --backends) throws std::invalid_argument carrying the invalid_choice()
-// message; a malformed --shard throws one naming the I/K form. A reader leaves every flag it does not own
-// unread, so exit_on_unknown_flags() reports what the chosen mode ignores.
+// message; a malformed --shard throws one naming the I/K form. A reader
+// leaves every flag it does not own unread, so exit_on_unknown_flags()
+// reports what the chosen mode ignores.
 #pragma once
 
 #include <cstddef>
@@ -32,14 +33,10 @@ std::string experiment_flags_usage(ExperimentParams defaults);
 // A sweep grid. --preset NAME first replaces *grid with
 // SweepGrid::preset(NAME). Then come the axis lists --seeds --kmax
 // --bottleneck-kbps --rtt-ms --loss --faults --backends, the base-scenario
-// flags, and the execution flags --jobs (default: host cores) and
-// --out-dir.
+// flags, and the execution flags --jobs (default: host cores), --out-dir
+// and --shard I/K.
 void read_sweep_flags(const Flags& flags, SweepGrid* grid, SweepOptions* opts);
 std::string sweep_flags_usage(SweepGrid defaults);
-
-// --shard I/K, for qa_sweep only: a sharded grid is one slice of a run
-// whose shards are merged later, which a live sweep has no use for.
-void read_shard_flag(const Flags& flags, SweepOptions* opts);
 
 // A server farm. --preset NAME first replaces *params with
 // FarmParams::preset(NAME); then every scenario flag qa_farm lists.

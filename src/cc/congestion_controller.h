@@ -73,8 +73,7 @@ class CcListener {
   virtual void on_quiescence(bool /*active*/) {}
 };
 
-// Parameters shared by every backend. (Historically rap::RapParams; the
-// fields are transport-generic, so the alias points here now.)
+// Parameters shared by every backend.
 struct CcParams {
   int32_t packet_size = 1000;      // bytes, data packets
   int32_t ack_size = 40;           // bytes

@@ -28,15 +28,10 @@
 
 namespace qa::rap {
 
-// Historic names: the listener and parameter types are transport-generic
-// and now live in cc/ so every backend shares them.
-using RapListener = cc::CcListener;
-using RapParams = cc::CcParams;
-
 class RapSource : public cc::CcSource {
  public:
   RapSource(sim::Scheduler* sched, sim::Node* local, sim::NodeId peer,
-            sim::FlowId flow, RapParams params)
+            sim::FlowId flow, cc::CcParams params)
       : cc::CcSource(sched, local, peer, flow, params) {}
 
   // Slope of linear increase S in bytes/s per second: one packet per SRTT,

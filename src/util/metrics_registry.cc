@@ -254,41 +254,6 @@ std::vector<MetricsRegistry::Row> MetricsSnapshot::changed_since(
   return rows;
 }
 
-std::string MetricsSnapshot::to_json(uint64_t since) const {
-  std::string out = "{\"seq\": " + json_number(seq) +
-                    ", \"since\": " + json_number(since) +
-                    ", \"metrics\": {";
-  bool first = true;
-  for (const Entry& e : entries) {
-    if (e.last_changed <= since) continue;
-    if (!first) out += ", ";
-    first = false;
-    out += json_quote(e.row.name) + ": " + metrics_row_json(e.row);
-  }
-  out += "}}";
-  return out;
-}
-
-std::vector<MetricsRegistry::Row> apply_delta(
-    std::vector<MetricsRegistry::Row> base,
-    const std::vector<MetricsRegistry::Row>& delta) {
-  for (const MetricsRegistry::Row& d : delta) {
-    auto it = std::find_if(
-        base.begin(), base.end(),
-        [&d](const MetricsRegistry::Row& r) { return r.name == d.name; });
-    if (it != base.end()) {
-      *it = d;
-    } else {
-      base.push_back(d);
-    }
-  }
-  std::sort(base.begin(), base.end(),
-            [](const MetricsRegistry::Row& a, const MetricsRegistry::Row& b) {
-              return a.name < b.name;
-            });
-  return base;
-}
-
 MetricsSnapshotter::MetricsSnapshotter(const MetricsRegistry* registry)
     : registry_(registry) {
   QA_CHECK(registry_ != nullptr);

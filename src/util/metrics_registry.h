@@ -20,14 +20,13 @@
 // (node-based maps). Export: snapshot() for in-process consumers, CSV and
 // JSON writers for artifacts.
 //
-// Incremental export (the qa_live tool, headless scrapers): a
+// Incremental capture (TimeSeriesRecorder samples through it): a
 // MetricsSnapshotter captures versioned MetricsSnapshots. Every capture()
 // gets a monotonically increasing sequence number and records, per row,
-// the capture at which it last changed; changed_since(seq) / to_json(seq)
-// then yield exactly the rows that moved after `seq`, so a consumer can
-// poll `/metrics?since=N` and apply deltas instead of re-reading the
-// world. The snapshotter is single-threaded (the sim thread's); cross-
-// thread hand-off is the LiveFeed double buffer in util/http_sse.h.
+// the capture at which it last changed; changed_since(seq) then yields
+// exactly the rows that moved after `seq`, so a consumer does O(changed
+// rows) work per capture instead of re-reading the world. The snapshotter
+// is single-threaded (the sim thread's).
 #pragma once
 
 #include <cstdint>
@@ -163,9 +162,7 @@ class MetricsRegistry {
   std::map<std::string, Histogram> histograms_;
 };
 
-// One row rendered as the canonical JSON object used by write_json —
-// shared so snapshots, deltas, and the metrics.json artifact stay
-// byte-compatible for the same row.
+// One row rendered as the canonical JSON object used by write_json.
 std::string metrics_row_json(const MetricsRegistry::Row& r);
 
 // A captured registry state with change tracking. `seq` is the capture's
@@ -185,20 +182,7 @@ struct MetricsSnapshot {
   // changed_since(0) is the full snapshot). A row created after `since`
   // counts as changed.
   std::vector<MetricsRegistry::Row> changed_since(uint64_t since) const;
-
-  // Canonical JSON: {"seq": N, "since": M, "metrics": {name: row, ...}}
-  // with rows restricted to changed_since(since) and formatted exactly as
-  // MetricsRegistry::write_json formats them. since = 0 renders the full
-  // snapshot; an idle delta renders an empty "metrics" object.
-  std::string to_json(uint64_t since = 0) const;
 };
-
-// Applies `delta` rows over `base` rows by name (later wins, new names
-// append) and returns the merged rows sorted by name — the client-side
-// "apply" operation; tests pin apply(snapshot(k), delta(k)) == snapshot.
-std::vector<MetricsRegistry::Row> apply_delta(
-    std::vector<MetricsRegistry::Row> base,
-    const std::vector<MetricsRegistry::Row>& delta);
 
 // Captures versioned snapshots of one registry and tracks per-row change
 // sequence numbers across captures. Not thread-safe: capture() must run on

@@ -14,8 +14,8 @@
 // fast burns.
 //
 // Alert open/close transitions are an ordered, typed timeline: consumers
-// (app/observability) fan each transition out to the flight recorder,
-// Chrome-trace instants, and the qa_live note feed via the alert hook.
+// (app/observability) fan each transition out to the flight recorder and
+// Chrome-trace instants via the alert hook.
 //
 // Determinism contract (DESIGN.md §16): evaluation must happen on the
 // same sim-time cadence grid in every run — windowed values change as old

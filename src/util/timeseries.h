@@ -5,10 +5,9 @@
 // window") is a statement about trajectories. TimeSeriesRecorder samples
 // selected MetricsRegistry rows at a sim-time cadence and keeps each
 // series as a step function — a point is stored only when the row
-// changed, so sampling cost is O(changed rows) per tick via the same
-// MetricsSnapshotter delta machinery qa_live uses (the recorder owns a
-// private snapshotter, so it never perturbs the live feed's delta
-// sequence).
+// changed, so sampling cost is O(changed rows) per tick via the
+// MetricsSnapshotter delta machinery (the recorder owns a private
+// snapshotter).
 //
 // Memory is fixed for arbitrarily long runs: each series is a bounded
 // ring; on overflow the series is downsampled by dropping every other

@@ -88,7 +88,6 @@ void expect_same(const FarmParams& a, const FarmParams& b) {
   EXPECT_EQ(a.registry, b.registry);
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.flightrec, b.flightrec);
-  EXPECT_EQ(a.live, b.live);
 }
 
 void expect_same(const SweepGrid& a, const SweepGrid& b) {
@@ -333,17 +332,13 @@ TEST(SweepFlags, EveryFlagSetsItsOwnField) {
   }
 }
 
-// --shard belongs to qa_sweep alone: the shared sweep reader leaves it
-// unread, so qa_live --sweep rejects it as an unknown flag.
-TEST(SweepFlags, ShardIsReadOnlyByTheShardReader) {
+TEST(SweepFlags, ReadsShard) {
   const Flags flags = make({"--shard", "1/3"});
   SweepGrid g = SweepGrid::preset("");
   SweepOptions opts;
   read_sweep_flags(flags, &g, &opts);
-  EXPECT_EQ(flags.unused(), (std::vector<std::string>{"shard"}));
-
-  SweepOptions want = opts;
-  read_shard_flag(flags, &opts);
+  SweepOptions want;
+  want.jobs = host_cpu_count();
   want.shard_index = 1;
   want.shard_count = 3;
   expect_same(opts, want);
@@ -493,12 +488,8 @@ TEST(ToolFlags, BadChoicesGiveTheInvalidChoiceMessage) {
             invalid_choice("--preset", "fig99", {"fig12", "fig13"}));
   EXPECT_EQ(error_of({"--backends", "rap,bbr"}, sweep),
             invalid_choice("--backends", "bbr", backends));
-  const auto shard_reader = [](const Flags& f) {
-    SweepOptions opts;
-    read_shard_flag(f, &opts);
-  };
   for (const std::string shard : {"2/2", "1", "a/2", "0/2x", "-1/2"}) {
-    EXPECT_EQ(error_of({"--shard", shard}, shard_reader),
+    EXPECT_EQ(error_of({"--shard", shard}, sweep),
               "bad --shard '" + shard + "' (want I/K, 0<=I<K)");
   }
 }

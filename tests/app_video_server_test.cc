@@ -28,7 +28,7 @@ struct ServerFixture : ::testing::Test {
     topo.bottleneck_bw = bottleneck;
     d = sim::build_dumbbell(net, topo);
     const sim::FlowId flow = net.allocate_flow_id();
-    rap::RapParams rp;
+    cc::CcParams rp;
     rp.initial_rate = layer_rate;
     rap = net.adopt_agent(
         d.left[0], flow,

@@ -29,7 +29,7 @@ struct Pair {
     topo.rtt = TimeDelta::millis(40);
     topo.bottleneck_queue_bytes = 15'000;  // deep: visible RTT variation
     d = sim::build_dumbbell(net, topo);
-    RapParams params;
+    cc::CcParams params;
     params.fine_grain = fine_grain;
     params.packet_size = 500;
     const sim::FlowId flow = net.allocate_flow_id();

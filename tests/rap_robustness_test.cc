@@ -26,7 +26,7 @@ struct Pair {
     topo.bottleneck_bw = bottleneck;
     topo.rtt = TimeDelta::millis(40);
     d = sim::build_dumbbell(net, topo);
-    RapParams params;
+    cc::CcParams params;
     params.packet_size = 500;
     const sim::FlowId flow = net.allocate_flow_id();
     src = net.adopt_agent(

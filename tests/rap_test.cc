@@ -19,7 +19,7 @@ struct RapPair {
   RapSink* sink = nullptr;
 
   explicit RapPair(Rate bottleneck = Rate::kilobytes_per_sec(50),
-                   RapParams params = {}) {
+                   cc::CcParams params = {}) {
     sim::DumbbellParams topo;
     topo.pairs = 1;
     topo.bottleneck_bw = bottleneck;
@@ -36,7 +36,7 @@ struct RapPair {
   }
 };
 
-class BackoffRecorder : public RapListener {
+class BackoffRecorder : public cc::CcListener {
  public:
   void on_backoff(Rate new_rate) override {
     backoffs.push_back(new_rate.bps());
@@ -115,7 +115,7 @@ TEST(RapSource, OneBackoffPerCongestionEvent) {
 }
 
 TEST(RapSource, RateFloorRespected) {
-  RapParams params;
+  cc::CcParams params;
   params.min_rate = Rate::bytes_per_sec(2000);
   params.initial_rate = Rate::bytes_per_sec(2000);
   // A bottleneck so slow that AIMD would push below the floor.
@@ -163,7 +163,7 @@ TEST(RapSource, TwoFlowsShareFairly) {
   std::vector<RapSink*> sinks;
   for (int i = 0; i < 2; ++i) {
     const sim::FlowId flow = net.allocate_flow_id();
-    RapParams params;
+    cc::CcParams params;
     params.start_time = TimePoint::from_sec(0.1 * i);
     net.adopt_agent(d.left[i], flow,
                     std::make_unique<RapSource>(&net.scheduler(), d.left[i],
@@ -181,7 +181,7 @@ TEST(RapSource, TwoFlowsShareFairly) {
 }
 
 TEST(RapSource, StartTimeDefersTransmission) {
-  RapParams params;
+  cc::CcParams params;
   params.start_time = TimePoint::from_sec(1.0);
   RapPair pair(Rate::kilobytes_per_sec(50), params);
   pair.net.run(TimePoint::from_sec(0.9));

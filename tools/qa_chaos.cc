@@ -73,6 +73,12 @@ int main(int argc, char** argv) {
   const std::string out_dir = flags.get_or("out-dir", "");
 
   exit_on_unknown_flags(flags, usage);
+  // Zero trials would pass the recovery gate without checking anything.
+  if (seeds < 1) {
+    std::fprintf(stderr, "qa_chaos: --seeds must be >= 1 (got %d)\n", seeds);
+    usage();
+    return 2;
+  }
 
   std::unique_ptr<CsvWriter> csv;
   if (!out_dir.empty()) {

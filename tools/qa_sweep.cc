@@ -36,7 +36,6 @@ void usage() {
   std::printf(
       "qa_sweep [flags]\n"
       "%s"
-      "  --shard I/K            run grid indices congruent to I mod K\n"
       "  --print-digest         print the canonical row digest to stdout\n"
       "  --bench-json FILE      write BENCH_sweep.json-style timing record\n"
       "  --bench-serial         with --bench-json: rerun the grid with\n"
@@ -58,7 +57,6 @@ int main(int argc, char** argv) {
     SweepGrid grid = SweepGrid::preset("");
     SweepOptions opts;
     read_sweep_flags(flags, &grid, &opts);
-    read_shard_flag(flags, &opts);
     const bool print_digest = flags.get_bool("print-digest", false);
     const std::string bench_json = flags.get_or("bench-json", "");
     const bool bench_serial = flags.get_bool("bench-serial", false);
