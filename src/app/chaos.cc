@@ -54,16 +54,21 @@ ChaosOutcome run_chaos_trial(const ChaosParams& params) {
   int64_t packets_at_fault_end = 0;
 
   // Periodic observation: keeps the client's rebuffer state fresh during
-  // total outages and watches for negative buffers.
+  // total outages and watches for negative buffers. One self-re-arming
+  // event walks the grid, so the heap holds one entry for it, not one per
+  // tick.
   const TimeDelta sample_dt = TimeDelta::millis(100);
-  for (TimePoint at = TimePoint::origin() + sample_dt; at <= run_end;
-       at += sample_dt) {
-    net.scheduler().schedule_at(at, [&session, &out] {
+  TimePoint tick = TimePoint::origin() + sample_dt;
+  if (tick <= run_end) {
+    net.scheduler().schedule_at(tick, [&net, &session, &out, &tick, run_end,
+                                       sample_dt] {
       session.client().sync();
       const auto& client = session.client();
       out.min_client_buffer =
           std::min({out.min_client_buffer, client.buffer(0),
                     client.total_buffer()});
+      tick += sample_dt;
+      if (tick <= run_end) net.scheduler().repeat_at(tick);
     }, sim::EventCategory::kProbe);
   }
   net.scheduler().schedule_at(fault_end, [&session, &packets_at_fault_end] {

@@ -1,6 +1,7 @@
 #include "app/experiment.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "app/observability.h"
@@ -45,6 +46,7 @@ ExperimentParams ExperimentParams::fig2() {
 ExperimentResult run_experiment(const ExperimentParams& params) {
   QA_CHECK(params.rap_flows >= 1);
   QA_CHECK(params.duration_sec > 0);
+  QA_CHECK(params.sample_dt_sec > 0 && std::isfinite(params.sample_dt_sec));
 
   sim::Network net;
   Rng rng(params.seed);
@@ -178,9 +180,14 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
   const int samples = static_cast<int>(params.duration_sec / dt);
   RunningStats qa_rate_stats;
 
-  for (int s = 1; s <= samples; ++s) {
-    const TimePoint at = TimePoint::from_sec(s * dt);
-    net.scheduler().schedule_at(at, [&, at] {
+  // One self-re-arming event walks the sample grid: tick s fires at
+  // from_sec(s * dt) for s = 1..samples, and repeat_at keeps the tie order
+  // those `samples` one-shots would have had, without holding them all in
+  // the heap at once.
+  int s = 1;
+  if (samples >= 1) {
+    net.scheduler().schedule_at(TimePoint::from_sec(dt), [&] {
+      const TimePoint at = TimePoint::from_sec(s * dt);
       auto& adapter = session.server().adapter();
       const auto& recv = adapter.receiver();
       const double rate = session.rap_source().rate().bps();
@@ -204,6 +211,10 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
         result.series.layer_drain_rate[i].add(
             at, std::max(0.0, (prev_buf[i] - buf) / dt));
         prev_buf[i] = buf;
+      }
+      if (s < samples) {
+        ++s;
+        net.scheduler().repeat_at(TimePoint::from_sec(s * dt));
       }
     }, sim::EventCategory::kProbe);
   }

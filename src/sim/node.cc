@@ -7,7 +7,10 @@ namespace qa::sim {
 
 void Node::add_route(NodeId dst, Link* link) {
   QA_CHECK(link != nullptr);
-  routes_[dst] = link;
+  QA_CHECK_GE(dst, 0);
+  const auto slot = static_cast<size_t>(dst);
+  if (slot >= routes_.size()) routes_.resize(slot + 1, nullptr);
+  routes_[slot] = link;
 }
 
 void Node::attach_agent(FlowId flow_id, Agent* agent) {
@@ -22,11 +25,12 @@ void Node::send(const Packet& p) {
     deliver(p);
     return;
   }
-  auto it = routes_.find(p.dst);
-  QA_CHECK_MSG(it != routes_.end(),
+  const auto slot = static_cast<size_t>(p.dst);  // a negative id wraps high
+  Link* const link = slot < routes_.size() ? routes_[slot] : nullptr;
+  QA_CHECK_MSG(link != nullptr,
                "no route from " << name_ << " to node " << p.dst);
   ++forwarded_;
-  it->second->submit(p);
+  link->submit(p);
 }
 
 void Node::deliver(const Packet& p) {

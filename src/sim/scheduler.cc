@@ -30,6 +30,11 @@ EventId Scheduler::schedule_at(TimePoint at, SmallFn fn,
                                EventCategory category) {
   QA_CHECK_MSG(at >= now_,
                "scheduling into the past: at=" << at << " now=" << now_);
+  return push(at, next_seq_++, category, std::move(fn));
+}
+
+EventId Scheduler::push(TimePoint at, uint64_t seq, EventCategory category,
+                        SmallFn fn) {
   const uint32_t idx = alloc_node();
   Node& n = pool_[idx];
   n.at = at;
@@ -38,7 +43,7 @@ EventId Scheduler::schedule_at(TimePoint at, SmallFn fn,
   n.fn = std::move(fn);
   ++n.generation;
   n.id = make_id(n.generation, idx);
-  heap_.push_back(HeapItem{at, next_seq_++, idx});
+  heap_.push_back(HeapItem{at, seq, idx});
   sift_up(heap_.size() - 1);
   ++live_;
   audit_consistency();
@@ -49,6 +54,14 @@ EventId Scheduler::schedule_after(TimeDelta delay, SmallFn fn,
                                   EventCategory category) {
   QA_CHECK_GE(delay, TimeDelta::zero());
   return schedule_at(now_ + delay, std::move(fn), category);
+}
+
+void Scheduler::repeat_at(TimePoint at) {
+  QA_CHECK_MSG(dispatching_, "repeat_at called outside a running handler");
+  QA_CHECK_MSG(!rearm_at_, "repeat_at called twice by one handler");
+  QA_CHECK_MSG(at >= now_,
+               "repeating into the past: at=" << at << " now=" << now_);
+  rearm_at_ = at;
 }
 
 void Scheduler::cancel(EventId id) {
@@ -134,6 +147,7 @@ bool Scheduler::pop_next(Entry& out) {
   if (heap_.empty()) return false;
   const uint32_t idx = heap_[0].node;
   out.at = heap_[0].at;
+  out.seq = heap_[0].seq;
   pop_root();
   Node& n = pool_[idx];
   out.category = n.category;
@@ -151,12 +165,7 @@ void Scheduler::run_until(TimePoint until) {
     prune_top();
     if (heap_.empty() || heap_[0].at > until) break;
     if (!pop_next(e)) break;
-    QA_INVARIANT_MSG(e.at >= now_,
-                     "time ran backwards: event at " << e.at << " with now="
-                                                     << now_);
-    now_ = e.at;
-    ++executed_;
-    dispatch(e);
+    execute(e);
   }
   if (now_ < until) now_ = until;
 }
@@ -164,12 +173,22 @@ void Scheduler::run_until(TimePoint until) {
 bool Scheduler::run_one() {
   Entry e;
   if (!pop_next(e)) return false;
+  execute(e);
+  return true;
+}
+
+void Scheduler::execute(Entry& e) {
   QA_INVARIANT_MSG(e.at >= now_, "time ran backwards: event at "
                                      << e.at << " with now=" << now_);
   now_ = e.at;
   ++executed_;
+  dispatching_ = true;
   dispatch(e);
-  return true;
+  dispatching_ = false;
+  if (rearm_at_) {
+    push(*rearm_at_, e.seq, e.category, std::move(e.fn));
+    rearm_at_.reset();
+  }
 }
 
 void Scheduler::dispatch(Entry& e) {

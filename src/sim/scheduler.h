@@ -20,6 +20,13 @@
 // moves backwards and that live + cancelled node counts always account for
 // the heap exactly.
 //
+// Periodic work re-arms rather than pre-schedules: `repeat_at`, called
+// from inside a running handler, puts that same event back in the heap
+// under the sequence number it was first scheduled with. A grid of N
+// ticks then occupies one heap entry instead of N, yet ties resolve
+// exactly as they would against N one-shots registered at that call site
+// (an event E runs before a same-time tick iff E.seq < the grid's seq).
+//
 // Observability: every event carries an EventCategory tag (sim/profiler.h)
 // naming the subsystem it belongs to. With a SchedulerProfiler attached or
 // an on_dispatch() subscriber present, each handler execution is timed
@@ -28,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sim/profiler.h"
@@ -56,6 +64,13 @@ class Scheduler {
   // Schedules `fn` after `delay` (>= 0).
   EventId schedule_after(TimeDelta delay, SmallFn fn,
                          EventCategory category = EventCategory::kGeneric);
+
+  // Re-arms the event whose handler is running to fire again at `at`
+  // (>= now), keeping its original sequence number so its order among
+  // same-time events is unchanged. Callable only from inside a running
+  // handler, at most once per run of it; the re-armed event gets a fresh
+  // EventId.
+  void repeat_at(TimePoint at);
 
   // Cancels a pending event. Cancelling an already-fired or invalid id is a
   // harmless no-op, which keeps timer bookkeeping in agents simple.
@@ -114,6 +129,7 @@ class Scheduler {
   // freely schedule (and grow the pool) while it runs.
   struct Entry {
     TimePoint at;
+    uint64_t seq = 0;
     EventCategory category = EventCategory::kGeneric;
     SmallFn fn;
   };
@@ -125,6 +141,9 @@ class Scheduler {
 
   uint32_t alloc_node();
   void release_node(uint32_t index);
+  // Inserts `fn` at (`at`, `seq`); returns its new EventId.
+  EventId push(TimePoint at, uint64_t seq, EventCategory category,
+               SmallFn fn);
 
   // 4-ary heap maintenance.
   void sift_up(size_t i);
@@ -145,6 +164,9 @@ class Scheduler {
                              << " cancelled=" << cancelled_);
   }
 
+  // Advances time to `e.at`, dispatches it, and re-inserts it if its
+  // handler called repeat_at.
+  void execute(Entry& e);
   // Runs `e.fn`, timing it only when the profiler or a dispatch
   // subscriber will consume the measurement.
   void dispatch(Entry& e);
@@ -157,6 +179,8 @@ class Scheduler {
   uint32_t free_head_ = kNoNode;
   size_t live_ = 0;       // scheduled, not cancelled/fired
   size_t cancelled_ = 0;  // cancelled, still in heap_
+  bool dispatching_ = false;  // a handler is running (repeat_at is legal)
+  std::optional<TimePoint> rearm_at_;  // set by the running handler
   SchedulerProfiler* profiler_ = nullptr;
   Event<const DispatchRecord&> on_dispatch_;
 };

@@ -2,6 +2,8 @@
 // traffic) must deliver the paper's core promises on a small workload.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "app/experiment.h"
 #include "app/session.h"
 #include "sim/topology.h"
@@ -136,6 +138,15 @@ TEST(Integration, SessionWiringDeliversVideoPackets) {
   EXPECT_GT(session.client().packets_received(), 0);
   EXPECT_GE(session.client().layers_seen(), 1);
   EXPECT_EQ(session.server().adapter().active_layers() >= 1, true);
+}
+
+TEST(IntegrationDeathTest, RejectsAnUnusableSampleStep) {
+  for (const double dt : {0.0, -0.1, std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    ExperimentParams p = ExperimentParams::fig2();
+    p.sample_dt_sec = dt;
+    EXPECT_DEATH(run_experiment(p), "sample_dt_sec") << "dt=" << dt;
+  }
 }
 
 }  // namespace

@@ -109,5 +109,23 @@ TEST(Network, NodeIdsAreSequential) {
   EXPECT_EQ(net.nodes().size(), 2u);
 }
 
+TEST(NodeDeathTest, SendWithoutARouteFails) {
+  Network net;
+  Node* a = net.add_node("a");
+  net.add_node("b");
+  Node* c = net.add_node("c");
+  net.add_duplex_link(a, c, Rate::kilobytes_per_sec(100),
+                      TimeDelta::millis(1), 1 << 20);
+  Packet p;
+  p.src = a->id();
+  p.flow_id = 1;
+  p.dst = 1;  // b: a known node that a has no route to
+  EXPECT_DEATH(a->send(p), "no route from a to node 1");
+  p.dst = 7;  // beyond every node
+  EXPECT_DEATH(a->send(p), "no route from a to node 7");
+  p.dst = -1;
+  EXPECT_DEATH(a->send(p), "no route from a to node -1");
+}
+
 }  // namespace
 }  // namespace qa::sim

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace qa::sim {
 namespace {
@@ -191,6 +194,147 @@ TEST(Scheduler, OnDispatchObserverSeesCategorizedRecords) {
   EXPECT_EQ(records[0].category, EventCategory::kAdapter);
   EXPECT_EQ(records[1].category, EventCategory::kLinkTx);
   EXPECT_GE(records[0].wall_ns, 0);
+}
+
+TEST(SchedulerRepeat, ChainHoldsOneHeapEntry) {
+  Scheduler s;
+  int ticks = 0;
+  s.schedule_at(TimePoint::from_sec(1), [&] {
+    ++ticks;
+    s.repeat_at(s.now() + TimeDelta::seconds(1));
+  });
+  EXPECT_EQ(s.pending_events(), 1u);
+  s.run_until(TimePoint::from_sec(100.5));
+  EXPECT_EQ(ticks, 100);
+  EXPECT_EQ(s.events_executed(), 100u);
+  EXPECT_EQ(s.pending_events(), 1u);  // tick 101, never more
+}
+
+TEST(SchedulerRepeat, RunOneRearmsAndKeepsCategory) {
+  Scheduler s;
+  SchedulerProfiler profiler;
+  s.set_profiler(&profiler);
+  int ticks = 0;
+  s.schedule_at(TimePoint::from_sec(1), [&] {
+    if (++ticks < 3) s.repeat_at(s.now() + TimeDelta::seconds(2));
+  }, EventCategory::kProbe);
+  while (s.run_one()) {
+  }
+  EXPECT_EQ(ticks, 3);
+  EXPECT_EQ(s.now(), TimePoint::from_sec(5));
+  EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_EQ(profiler.stats(EventCategory::kProbe).dispatches, 3u);
+}
+
+// The sample-grid pattern both ways: kTicks one-shots registered back to
+// back, or one event that re-arms itself with repeat_at. Every grid time
+// gets a tie registered before the grid, one registered after it, and one
+// registered during the run (by the previous tick); a seeded mix of
+// one-shots, some spawning more, lands on and just after grid times.
+class GridMix {
+ public:
+  GridMix(bool chain, uint64_t seed) : chain_(chain), rng_(seed) {}
+
+  std::vector<std::pair<std::string, TimePoint>> run() {
+    for (int k = 1; k <= kTicks; ++k) at(grid(k), "pre@" + std::to_string(k));
+    for (int i = 0; i < 40; ++i) one_shot("pre" + std::to_string(i));
+    if (chain_) {
+      sched_.schedule_at(grid(1), [this] {
+        on_tick();
+        if (ticks_ < kTicks) sched_.repeat_at(grid(ticks_ + 1));
+      });
+    } else {
+      for (int k = 1; k <= kTicks; ++k) {
+        sched_.schedule_at(grid(k), [this] { on_tick(); });
+      }
+    }
+    for (int k = 1; k <= kTicks; ++k) at(grid(k), "post@" + std::to_string(k));
+    for (int i = 0; i < 40; ++i) one_shot("post" + std::to_string(i));
+    sched_.run_until(grid(kTicks + 2));
+    return log_;
+  }
+
+  static constexpr int kTicks = 30;
+
+ private:
+  static TimePoint grid(int k) { return TimePoint::from_sec(k * 0.1); }
+
+  // A grid time (a tie) half the time, else just after one; never past.
+  TimePoint draw_time() {
+    TimePoint t = grid(static_cast<int>(rng_.next_below(kTicks + 2)));
+    if (rng_.bernoulli(0.5)) {
+      t = t + TimeDelta::micros(1 + static_cast<int64_t>(rng_.next_below(99)));
+    }
+    return std::max(t, sched_.now());
+  }
+
+  void at(TimePoint t, const std::string& label) {
+    sched_.schedule_at(t, [this, label] { fired(label); });
+  }
+  void one_shot(const std::string& label) { at(draw_time(), label); }
+
+  void fired(const std::string& label) {
+    log_.emplace_back(label, sched_.now());
+    if (rng_.bernoulli(0.3)) one_shot(label + "/c");
+    if (rng_.bernoulli(0.2)) at(sched_.now(), label + "/n");
+  }
+
+  void on_tick() {
+    log_.emplace_back("tick", sched_.now());
+    ++ticks_;
+    at(grid(ticks_ + 1), "next-tick");
+    if (rng_.bernoulli(0.3)) one_shot("tick/c");
+  }
+
+  bool chain_;
+  Rng rng_;
+  Scheduler sched_;
+  int ticks_ = 0;
+  std::vector<std::pair<std::string, TimePoint>> log_;
+};
+
+TEST(SchedulerRepeat, ChainDispatchesExactlyLikePreScheduledGrid) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    GridMix one_shots(false, seed);
+    GridMix chain(true, seed);
+    const auto expected = one_shots.run();
+    const auto got = chain.run();
+    ASSERT_EQ(got, expected) << "seed " << seed;
+    EXPECT_EQ(std::count_if(got.begin(), got.end(),
+                            [](const auto& e) { return e.first == "tick"; }),
+              GridMix::kTicks);
+  }
+}
+
+TEST(SchedulerDeathTest, RepeatAtOutsideAHandlerFails) {
+  Scheduler s;
+  EXPECT_DEATH(s.repeat_at(TimePoint::from_sec(1)),
+               "repeat_at called outside a running handler");
+  s.schedule_at(TimePoint::from_sec(1), [] {});
+  s.run_until(TimePoint::from_sec(2));
+  EXPECT_DEATH(s.repeat_at(TimePoint::from_sec(3)),
+               "repeat_at called outside a running handler");
+}
+
+TEST(SchedulerDeathTest, RepeatAtTwiceOrIntoThePastFails) {
+  EXPECT_DEATH(
+      {
+        Scheduler s;
+        s.schedule_at(TimePoint::from_sec(1), [&] {
+          s.repeat_at(TimePoint::from_sec(2));
+          s.repeat_at(TimePoint::from_sec(3));
+        });
+        s.run_until(TimePoint::from_sec(5));
+      },
+      "repeat_at called twice");
+  EXPECT_DEATH(
+      {
+        Scheduler s;
+        s.schedule_at(TimePoint::from_sec(2),
+                      [&] { s.repeat_at(TimePoint::from_sec(1)); });
+        s.run_until(TimePoint::from_sec(5));
+      },
+      "repeating into the past");
 }
 
 TEST(EventCategoryName, EveryCategoryHasAUniqueName) {
