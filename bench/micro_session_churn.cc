@@ -43,7 +43,7 @@ app::SessionConfig session_config() {
   app::SessionConfig cfg;
   cfg.stream_layers = 4;
   cfg.layer_rate = Rate::kilobytes_per_sec(2.5);
-  cfg.rap.packet_size = 500;
+  cfg.cc.packet_size = 500;
   return cfg;
 }
 

@@ -1089,8 +1089,8 @@ MixResult run_mix(int rap_flows, int tcp_flows, bool qa_on_first,
       SessionConfig cfg;
       cfg.stream_layers = 8;
       cfg.layer_rate = Rate::bytes_per_sec(1'250);
-      cfg.rap.packet_size = 250;
-      cfg.rap.initial_rate = Rate::bytes_per_sec(1'250);
+      cfg.cc.packet_size = 250;
+      cfg.cc.initial_rate = Rate::bytes_per_sec(1'250);
       session = std::make_unique<Session>(net, d.left[0], d.right[0], cfg);
       rap_sinks.push_back(&session->rap_sink());
       continue;

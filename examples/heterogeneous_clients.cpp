@@ -73,8 +73,8 @@ int main() {
     cfg.adapter.kmax = 2;
     cfg.adapter.surplus_ladder_depth = 4;  // the modem case of §3.1
     cfg.adapter.playout_delay = TimeDelta::seconds(2);
-    cfg.rap.packet_size = 250;
-    cfg.rap.initial_rate = Rate::bytes_per_sec(1'500);
+    cfg.cc.packet_size = 250;
+    cfg.cc.initial_rate = Rate::bytes_per_sec(1'500);
     sessions.push_back(
         std::make_unique<app::Session>(net, server_host, host, cfg));
   }
@@ -89,7 +89,7 @@ int main() {
     s.client().sync();
     std::printf("  %-22s %7d %8.1f %10.0f %9.3f\n", specs[i].name,
                 s.server().adapter().active_layers(),
-                s.rap_source().rate().kBps(), s.client().total_buffer(),
+                s.controller().rate().kBps(), s.client().total_buffer(),
                 s.client().base_stall().sec());
   }
   std::printf(

@@ -36,8 +36,8 @@ int main() {
   cfg.layer_rate = Rate::bytes_per_sec(2'000);
   cfg.adapter.kmax = 3;
   cfg.adapter.playout_delay = TimeDelta::seconds(2);
-  cfg.rap.packet_size = 250;
-  cfg.rap.initial_rate = Rate::bytes_per_sec(2'000);
+  cfg.cc.packet_size = 250;
+  cfg.cc.initial_rate = Rate::bytes_per_sec(2'000);
   app::Session session(net, d.left[0], d.right[0], cfg);
 
   // Churning TCP cross traffic: each flow runs for a window, then the next
@@ -64,7 +64,7 @@ int main() {
     net.scheduler().schedule_at(TimePoint::from_sec(s), [&, s] {
       session.client().sync();
       std::printf("%6d  %10.2f  %6d  %11.0f  %9.3f\n", s,
-                  session.rap_source().rate().kBps(),
+                  session.controller().rate().kBps(),
                   session.server().adapter().active_layers(),
                   session.server().adapter().receiver().total_buffer(),
                   session.client().base_stall().sec());

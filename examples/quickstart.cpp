@@ -29,8 +29,8 @@ int main() {
   cfg.layer_rate = Rate::kilobytes_per_sec(5);
   cfg.adapter.kmax = 2;
   cfg.adapter.playout_delay = TimeDelta::seconds(1);
-  cfg.rap.packet_size = 500;
-  cfg.rap.initial_rate = Rate::kilobytes_per_sec(5);
+  cfg.cc.packet_size = 500;
+  cfg.cc.initial_rate = Rate::kilobytes_per_sec(5);
   app::Session session(net, dumbbell.left[0], dumbbell.right[0], cfg);
 
   // 3. Run 10 seconds of simulated time.
@@ -43,7 +43,7 @@ int main() {
   std::printf("  active layers        : %d of %d\n", adapter.active_layers(),
               cfg.stream_layers);
   std::printf("  transmission rate    : %.1f kB/s\n",
-              session.rap_source().rate().kBps());
+              session.controller().rate().kBps());
   std::printf("  packets delivered    : %lld\n",
               static_cast<long long>(session.client().packets_received()));
   std::printf("  receiver buffering   : %.0f bytes (client ground truth)\n",

@@ -28,9 +28,9 @@ ChaosOutcome run_chaos_trial(const ChaosParams& params) {
   scfg.adapter.consumption_rate = params.layer_rate.bps();
   scfg.adapter.max_layers = params.stream_layers;
   scfg.adapter.kmax = params.kmax;
-  scfg.rap.packet_size = params.packet_size;
-  scfg.rap.initial_rate = params.layer_rate;
-  scfg.rap.initial_rtt = params.rtt;
+  scfg.cc.packet_size = params.packet_size;
+  scfg.cc.initial_rate = params.layer_rate;
+  scfg.cc.initial_rtt = params.rtt;
   scfg.stream_layers = params.stream_layers;
   scfg.layer_rate = params.layer_rate;
   Session session(net, d.left[0], d.right[0], scfg);
@@ -105,15 +105,15 @@ ChaosOutcome run_chaos_trial(const ChaosParams& params) {
   out.rebuffer_events = rebuf.count();
   out.rebuffer_time = rebuf.total_paused(net.scheduler().now());
   out.rebuffer_max_recovery = rebuf.max_time_to_recover();
-  out.quiescence_entries = session.rap_source().quiescence_entries();
+  out.quiescence_entries = session.controller().quiescence_entries();
   out.degraded_entries = session.server().adapter().degraded_entries();
-  out.losses = session.rap_source().losses_detected();
-  out.backoffs = session.rap_source().backoffs();
+  out.losses = session.controller().losses_detected();
+  out.backoffs = session.controller().backoffs();
   out.outage_drops =
       d.bottleneck->outage_drops() + d.bottleneck_reverse->outage_drops();
   out.packets_received = session.client().packets_received();
   out.packets_received_tail = out.packets_received - packets_at_fault_end;
-  out.final_rate_bps = session.rap_source().rate().bps();
+  out.final_rate_bps = session.controller().rate().bps();
   return out;
 }
 

@@ -92,10 +92,10 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
   scfg.adapter.allocation = params.allocation;
   scfg.adapter.monotone = params.monotone;
   scfg.adapter.playout_delay = params.playout_delay;
-  scfg.rap.packet_size = params.packet_size;
-  scfg.rap.initial_rate = params.layer_rate;  // start near one layer's worth
-  scfg.rap.initial_rtt = params.rtt;
-  scfg.rap.seed = params.seed;  // determinism contract: plumbed, not literal
+  scfg.cc.packet_size = params.packet_size;
+  scfg.cc.initial_rate = params.layer_rate;  // start near one layer's worth
+  scfg.cc.initial_rtt = params.rtt;
+  scfg.cc.seed = params.seed;  // determinism contract: plumbed, not literal
   scfg.stream_layers = params.stream_layers;
   scfg.layer_rate = params.layer_rate;
   scfg.keep_client_packet_log = params.keep_client_packet_log;
@@ -190,7 +190,7 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
       const TimePoint at = TimePoint::from_sec(s * dt);
       auto& adapter = session.server().adapter();
       const auto& recv = adapter.receiver();
-      const double rate = session.rap_source().rate().bps();
+      const double rate = session.controller().rate().bps();
       const int na = adapter.active_layers();
       // Keep the client's rebuffer state fresh even when no packets arrive
       // (a paused or starved stream still has to notice it is dry).
@@ -225,9 +225,9 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
   session.client().sync();
   auto& adapter = session.server().adapter();
   result.metrics = adapter.metrics();
-  result.qa_packets_sent = session.rap_source().packets_sent();
-  result.qa_losses = session.rap_source().losses_detected();
-  result.qa_backoffs = session.rap_source().backoffs();
+  result.qa_packets_sent = session.controller().packets_sent();
+  result.qa_losses = session.controller().losses_detected();
+  result.qa_backoffs = session.controller().backoffs();
   result.qa_mean_rate_bps = qa_rate_stats.mean();
   result.client_base_stall = session.client().base_stall();
   const auto& rebuf = session.client().rebuffers();

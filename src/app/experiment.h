@@ -83,10 +83,10 @@ struct ExperimentParams {
   // Named presets.
   static ExperimentParams t1(int kmax = 2, uint64_t seed = 1);
   static ExperimentParams t2(int kmax = 4, uint64_t seed = 1);
-  // The fig-2 style single flow the tracing tools run by default (qa_trace,
-  // qa_slo --scenario fig2): one quality-adaptive RAP flow alone
-  // on a 240 Kb/s bottleneck, C = 10 kB/s, Kmax = 1, 20 s, so the trace
-  // shows clean sawtooths and layer changes without competing traffic.
+  // The fig-2 style single flow qa_trace runs by default: one
+  // quality-adaptive RAP flow alone on a 240 Kb/s bottleneck, C = 10 kB/s,
+  // Kmax = 1, 20 s, so the trace shows clean sawtooths and layer changes
+  // without competing traffic.
   static ExperimentParams fig2();
   bool operator==(const ExperimentParams&) const = default;
 };

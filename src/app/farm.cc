@@ -250,7 +250,7 @@ class Farm {
     SessionConfig scfg;
     scfg.backend = params_.backend;
     scfg.adapter.playout_delay = params_.playout_delay;
-    scfg.rap.packet_size = params_.packet_size;
+    scfg.cc.packet_size = params_.packet_size;
     scfg.layer_rate = params_.layer_rate;
     scfg.stream_layers = base_only ? 1 : params_.stream_layers;
     scfg.video = base_only ? video_base_ : video_full_;
@@ -446,7 +446,6 @@ class Farm {
       params_.registry->gauge("farm.rebuffer_frac").set(sm.rebuffer_frac);
       params_.registry->gauge("farm.queue_frac").set(sm.queue_frac);
     }
-    if (params_.on_sample) params_.on_sample(now);
 
     result_.series.push_back(sm);
   }

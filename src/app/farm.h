@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -107,16 +106,11 @@ struct FarmParams {
   // notes.
   ChromeTraceWriter* trace = nullptr;
   FlightRecorder* flightrec = nullptr;
-  // Invoked right after each aggregate sample updates the farm.* gauges,
-  // with the sample's sim time. This is the
-  // evaluation-tier hook: qa_slo drives a TimeSeriesRecorder + SloEngine
-  // on the farm's own deterministic sample grid through it.
-  std::function<void(TimePoint)> on_sample;
 
-  // The named scenarios qa_farm and qa_slo run (--preset): "smoke" (16
-  // slots, 60 s), "churn500" (~500 join attempts over 96 slots with a
-  // flash crowd and a mass departure) and "overload" (offered load far
-  // beyond what the quality model admits). Throws std::invalid_argument
+  // The named scenarios qa_farm runs (--preset): "smoke" (16 slots,
+  // 60 s), "churn500" (~500 join attempts over 96 slots with a flash
+  // crowd and a mass departure) and "overload" (offered load far beyond
+  // what the quality model admits). Throws std::invalid_argument
   // with the invalid_choice() message for any other name.
   static FarmParams preset(const std::string& name);
 };

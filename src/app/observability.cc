@@ -18,23 +18,6 @@ Observability::Observability(ObservabilityConfig cfg) : cfg_(std::move(cfg)) {
     trace_->name_track(ChromeTraceWriter::kAdapterTrack, "quality adapter");
     trace_->name_track(ChromeTraceWriter::kClientTrack, "video client");
     trace_->name_track(ChromeTraceWriter::kLinkTrack, "links");
-    if (cfg_.slo != nullptr) {
-      trace_->name_track(ChromeTraceWriter::kSloTrack, "slo alerts");
-    }
-  }
-  if (cfg_.slo != nullptr) {
-    QA_CHECK_MSG(cfg_.recorder != nullptr,
-                 "SLO engine needs a recorder to evaluate over");
-    cfg_.slo->set_alert_hook(
-        [this](const SloEngine::Transition& tr, const SloObjective& obj) {
-          on_slo_transition(tr, obj);
-        });
-  }
-  if (cfg_.recorder != nullptr) {
-    QA_CHECK(cfg_.sample_cadence > TimeDelta::zero());
-    // The evaluation grid is part of the alert timeline's identity: an
-    // offline re-evaluation (qa_slo --eval) must rebuild the same grid.
-    manifest_.set_int("obs_sample_cadence_ns", cfg_.sample_cadence.ns());
   }
   if (cfg_.journeys) {
     journeys_.bind_metrics(&registry_);
@@ -84,35 +67,6 @@ void Observability::attach_scheduler(sim::Scheduler& sched) {
                              {{"wall_ns", rec.wall_ns}});
           trace_->span_end(rec.at, ChromeTraceWriter::kSchedulerTrack);
         }));
-  }
-  if (cfg_.recorder != nullptr) {
-    sched.schedule_after(cfg_.sample_cadence, [this] { obs_tick(); },
-                         EventCategory::kProbe);
-  }
-}
-
-void Observability::obs_tick() {
-  if (finished_) return;
-  const TimePoint now = sched_->now();
-  cfg_.recorder->sample(now);
-  if (cfg_.slo != nullptr) cfg_.slo->evaluate(now);
-  sched_->schedule_after(cfg_.sample_cadence, [this] { obs_tick(); },
-                         EventCategory::kProbe);
-}
-
-void Observability::on_slo_transition(const SloEngine::Transition& tr,
-                                      const SloObjective& obj) {
-  flightrec_note(tr.t, tr.open ? "slo.open" : "slo.close",
-                 "{\"objective\": " + json_quote(tr.objective) +
-                     ", \"series\": " + json_quote(obj.series) +
-                     ", \"fast\": " + json_number(tr.fast_value) +
-                     ", \"slow\": " + json_number(tr.slow_value) +
-                     ", \"threshold\": " + json_number(obj.threshold) + "}");
-  if (trace_) {
-    trace_->instant(
-        tr.t, ChromeTraceWriter::kSloTrack,
-        std::string(tr.open ? "slo_open " : "slo_close ") + tr.objective,
-        {{"fast", tr.fast_value}, {"slow", tr.slow_value}});
   }
 }
 
@@ -297,7 +251,7 @@ void Observability::attach_session(Session& session) {
   attach_adapter(session.server().adapter());
   attach_client(session.client());
   if (cfg_.journeys) {
-    session.rap_source().set_journey_recorder(&journeys_);
+    session.controller().set_journey_recorder(&journeys_);
     session.rap_sink().set_journey_recorder(&journeys_);
     session.client().set_journey_recorder(&journeys_);
   }
@@ -366,14 +320,6 @@ void Observability::finish() {
   if (finished_) return;
   finished_ = true;
   if (sched_ != nullptr) end_time_ = sched_->now();
-  // Closing recorder sample while the attached objects are still alive
-  // (callback gauges read them): captures the exact end state as each
-  // series' last_seen tail. Off the cadence grid, so the SLO engine is
-  // deliberately NOT evaluated here — the alert timeline stays a pure
-  // function of (trajectories × cadence grid).
-  if (cfg_.recorder != nullptr && sched_ != nullptr) {
-    cfg_.recorder->sample(end_time_);
-  }
   // Drop subscriptions first: nothing may write to the trace after close.
   subs_.clear();
   // A run that finished cleanly needs no crash dump.
@@ -385,17 +331,6 @@ void Observability::finish() {
   if (!cfg_.out_dir.empty() && cfg_.metrics) {
     registry_.write_csv(cfg_.out_dir + "/metrics.csv");
     registry_.write_json(cfg_.out_dir + "/metrics.json");
-  }
-  if (!cfg_.out_dir.empty() && cfg_.recorder != nullptr) {
-    cfg_.recorder->write_csv(cfg_.out_dir + "/timeseries.csv");
-    cfg_.recorder->write_json(cfg_.out_dir + "/timeseries.json");
-  }
-  if (!cfg_.out_dir.empty() && cfg_.slo != nullptr) {
-    const TimePoint end = cfg_.recorder != nullptr
-                              ? cfg_.recorder->last_sample_time()
-                              : end_time_;
-    write_alerts_json(cfg_.out_dir + "/alerts.json", *cfg_.slo, end);
-    write_slo_metrics_json(cfg_.out_dir + "/slo.json", *cfg_.slo, end);
   }
   if (!cfg_.out_dir.empty()) {
     manifest_.write_json(cfg_.out_dir + "/manifest.json");

@@ -30,8 +30,6 @@
 #include "util/journey.h"
 #include "util/manifest.h"
 #include "util/metrics_registry.h"
-#include "util/slo.h"
-#include "util/timeseries.h"
 
 namespace qa::sim {
 class FaultInjector;
@@ -57,17 +55,6 @@ struct ObservabilityConfig {
   // invariant fails mid-run (path recorded in the manifest).
   bool flightrec = true;
   size_t flightrec_events = 1024;
-  // Evaluation tier (util/timeseries.h + util/slo.h). When `recorder` is
-  // set, the hub samples it every `sample_cadence` of sim time on a kProbe
-  // tick (O(changed rows) per tick; the recorder owns its snapshotter).
-  // When `slo` is also set, the engine is evaluated on the same cadence
-  // grid — the grid is part of the alert timeline's determinism contract
-  // (DESIGN.md §16) — and every alert open/close fans out to the flight
-  // recorder and a Chrome-trace instant on kSloTrack. Neither pointer is
-  // owned; both must outlive finish().
-  TimeSeriesRecorder* recorder = nullptr;
-  SloEngine* slo = nullptr;
-  TimeDelta sample_cadence = TimeDelta::millis(100);
 };
 
 class Observability {
@@ -116,11 +103,6 @@ class Observability {
   void on_journey_span(const JourneySpan& span);
   void flightrec_note(TimePoint t, std::string_view kind,
                       std::string detail_json);
-  // One evaluation tick: recorder sample + SLO evaluate, reschedule.
-  void obs_tick();
-  // Alert open/close fan-out (flight recorder, trace instant).
-  void on_slo_transition(const SloEngine::Transition& tr,
-                         const SloObjective& obj);
 
   ObservabilityConfig cfg_;
   MetricsRegistry registry_;

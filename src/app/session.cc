@@ -22,11 +22,11 @@ Session::Session(sim::Network& net, sim::Node* server_host,
       controller_(net.adopt_agent(
           server_host, flow_,
           make_controller(cfg.backend, &net.scheduler(), server_host,
-                          client_host->id(), flow_, cfg.rap))),
+                          client_host->id(), flow_, cfg.cc))),
       rap_sink_(net.adopt_agent(
           client_host, flow_,
           std::make_unique<rap::RapSink>(&net.scheduler(), client_host,
-                                         cfg.rap.ack_size))),
+                                         cfg.cc.ack_size))),
       server_(&net.scheduler(), controller_, cfg.adapter, resolve_video(cfg),
               cfg.server),
       client_(&net.scheduler(), cfg.layer_rate.bps(),

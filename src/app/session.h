@@ -28,7 +28,7 @@ struct SessionConfig {
   // Which congestion-control law drives the stream. The rest of the stack
   // (server, adapter, client, sink) is backend-agnostic.
   cc::Backend backend = cc::Backend::kRap;
-  cc::CcParams rap;  // historic field name
+  cc::CcParams cc;
   VideoServerOptions server;
   int stream_layers = 8;
   Rate layer_rate = Rate::kilobytes_per_sec(10);
@@ -64,10 +64,8 @@ class Session {
   VideoServer& server() { return server_; }
   VideoClient& client() { return client_; }
   // The session's congestion controller (whatever backend the config
-  // chose). `rap_source()` is the historic spelling; both return the
-  // backend-agnostic interface.
+  // chose), behind the backend-agnostic interface.
   cc::CongestionController& controller() { return *controller_; }
-  cc::CongestionController& rap_source() { return *controller_; }
   rap::RapSink& rap_sink() { return *rap_sink_; }
   sim::FlowId flow_id() const { return flow_; }
 

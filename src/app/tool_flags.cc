@@ -1,6 +1,7 @@
 #include "app/tool_flags.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,25 +43,6 @@ T choice(const char* flag, const std::string& got) {
   throw std::invalid_argument(invalid_choice("--" + name(flag), got, valid));
 }
 
-// One element of a comma list; it must parse in full.
-template <typename T>
-T element(const char* flag, const std::string& token) {
-  if (token.empty()) throw std::invalid_argument("empty list element");
-  if constexpr (std::is_enum_v<T>) {
-    return choice<T>(flag, token);
-  } else {
-    size_t used = 0;
-    T v{};
-    if constexpr (std::is_same_v<T, double>) v = std::stod(token, &used);
-    if constexpr (std::is_same_v<T, int>) v = std::stoi(token, &used);
-    if constexpr (std::is_same_v<T, uint64_t>) v = std::stoull(token, &used);
-    if (used != token.size()) {
-      throw std::invalid_argument("trailing characters in '" + token + "'");
-    }
-    return v;
-  }
-}
-
 template <typename T>
 std::string show(T v) {
   if constexpr (std::is_same_v<T, bool>) {
@@ -74,13 +56,51 @@ std::string show(T v) {
   }
 }
 
+// A numeric flag's domain: finite and strictly above `bound`.
+struct Above {
+  double bound;
+};
+
+// `v`, read from `flag`, unless it lies outside `above`: then the
+// std::invalid_argument naming the flag, its range and the value.
+template <typename T>
+T checked(const char* flag, T v, std::optional<Above> above) {
+  const double x = static_cast<double>(v);
+  if (!above || (std::isfinite(x) && x > above->bound)) return v;
+  std::string range = std::is_floating_point_v<T> ? "finite and > " : "> ";
+  range += show(above->bound);
+  throw std::invalid_argument("--" + name(flag) + " must be " + range +
+                              " (got " + show(v) + ")");
+}
+
+// One element of a comma list; it must parse in full (and lie in `above`).
+template <typename T>
+T element(const char* flag, const std::string& token,
+          std::optional<Above> above) {
+  if (token.empty()) throw std::invalid_argument("empty list element");
+  if constexpr (std::is_enum_v<T>) {
+    return choice<T>(flag, token);
+  } else {
+    size_t used = 0;
+    T v{};
+    if constexpr (std::is_same_v<T, double>) v = std::stod(token, &used);
+    if constexpr (std::is_same_v<T, int>) v = std::stoi(token, &used);
+    if constexpr (std::is_same_v<T, uint64_t>) v = std::stoull(token, &used);
+    if (used != token.size()) {
+      throw std::invalid_argument("trailing characters in '" + token + "'");
+    }
+    return checked(flag, v, above);
+  }
+}
+
 // Each params type lists its flags once, in a visit_* function below, as
-// visit("name METAVAR", "help", &field[, unit]). The one visitor either
-// reads every flag into its field or appends every flag's usage line with
-// the field's value as the default, so a flag's parser and its --help line
-// cannot disagree on name, field or unit. Reading writes a field only when
-// its flag is set: an absent flag leaves the preset's value bit-identical
-// (no unit round trip).
+// visit("name METAVAR", "help", &field[, unit][, Above{bound}]). The one
+// visitor either reads every flag into its field or appends every flag's
+// usage line with the field's value as the default, so a flag's parser and
+// its --help line cannot disagree on name, field or unit. Reading writes a
+// field only when its flag is set: an absent flag leaves the preset's value
+// bit-identical (no unit round trip). A bounded flag's value must also be
+// finite and above the bound; the reader throws otherwise.
 class FlagVisitor {
  public:
   // Reads `*flags`; with nullptr, collects usage lines in `text` instead.
@@ -89,38 +109,43 @@ class FlagVisitor {
   std::string text;
 
   template <typename T>
-  void operator()(const char* flag, const char* help, T* field) {
+  void operator()(const char* flag, const char* help, T* field,
+                  std::optional<Above> above = std::nullopt) {
     if (flags_ == nullptr) return line(flag, help, show(*field));
     if constexpr (std::is_same_v<T, bool>) {
       *field = flags_->get_bool(name(flag), *field);
     } else if constexpr (std::is_enum_v<T>) {
       if (const auto v = flags_->get(name(flag))) *field = choice<T>(flag, *v);
     } else if constexpr (std::is_integral_v<T>) {
-      *field = static_cast<T>(
-          flags_->get_int(name(flag), static_cast<int64_t>(*field)));
+      const auto v = flags_->get_int(name(flag), static_cast<int64_t>(*field));
+      *field = static_cast<T>(checked(flag, v, above));
     } else {
-      *field = flags_->get_double(name(flag), *field);
+      *field = checked(flag, flags_->get_double(name(flag), *field), above);
     }
   }
   // `unit` maps the flag's number to a Rate (Rate::kilobits_per_sec, ...).
   void operator()(const char* flag, const char* help, Rate* field,
-                  Rate (*unit)(double)) {
+                  Rate (*unit)(double),
+                  std::optional<Above> above = std::nullopt) {
     if (flags_ == nullptr) {
       return line(flag, help, show(field->bps() / unit(1).bps()));
     }
-    if (const auto v = number(flag)) *field = unit(*v);
+    if (const auto v = number(flag)) *field = unit(checked(flag, *v, above));
   }
   // `per_sec` flag units per second: 1 for seconds, 1000 for milliseconds.
   void operator()(const char* flag, const char* help, TimeDelta* field,
-                  double per_sec) {
+                  double per_sec, std::optional<Above> above = std::nullopt) {
     if (flags_ == nullptr) {
       return line(flag, help, show(field->sec() * per_sec));
     }
-    if (const auto v = number(flag)) *field = TimeDelta::from_sec(*v / per_sec);
+    if (const auto v = number(flag)) {
+      *field = TimeDelta::from_sec(checked(flag, *v, above) / per_sec);
+    }
   }
   // Sweep axes: comma-separated lists.
   template <typename T>
-  void operator()(const char* flag, const char* help, std::vector<T>* field) {
+  void operator()(const char* flag, const char* help, std::vector<T>* field,
+                  std::optional<Above> above = std::nullopt) {
     if (flags_ == nullptr) {
       std::string values;
       for (const T v : *field) {
@@ -134,7 +159,7 @@ class FlagVisitor {
     std::vector<T> list;
     for (size_t pos = 0; pos <= v->size();) {
       const size_t comma = std::min(v->find(',', pos), v->size());
-      list.push_back(element<T>(flag, v->substr(pos, comma - pos)));
+      list.push_back(element<T>(flag, v->substr(pos, comma - pos), above));
       pos = comma + 1;
     }
     *field = std::move(list);
@@ -158,13 +183,13 @@ class FlagVisitor {
 
 // The scenario fields no sweep axis covers.
 void visit_base_flags(FlagVisitor& visit, ExperimentParams* p) {
-  visit("duration-s SECS", "run length", &p->duration_sec);
+  visit("duration-s SECS", "run length", &p->duration_sec, Above{0});
   visit("rap-flows N", "RAP flows incl. the QA one", &p->rap_flows);
   visit("tcp-flows N", "competing TCP flows", &p->tcp_flows);
   visit("cbr", "CBR step at a fraction of the bottleneck", &p->with_cbr);
-  visit("layers N", "stream layers", &p->stream_layers);
+  visit("layers N", "stream layers", &p->stream_layers, Above{0});
   visit("layer-rate BPS", "per-layer consumption C", &p->layer_rate,
-        &Rate::bytes_per_sec);
+        &Rate::bytes_per_sec, Above{0});
   visit("queue-bytes B", "bottleneck queue", &p->bottleneck_queue_bytes);
   visit("red", "RED bottleneck instead of drop-tail", &p->red_bottleneck);
   visit("allocation P", "optimal | equal-share | base-only", &p->allocation);
@@ -175,9 +200,9 @@ void visit_experiment_flags(FlagVisitor& visit, ExperimentParams* p) {
   visit("backend NAME", "QA-flow congestion control: rap, tfrc, nada",
         &p->backend);
   visit("seed N", "RNG seed", &p->seed);
-  visit("kmax N", "max backoffs survivable, K_max", &p->kmax);
+  visit("kmax N", "max backoffs survivable, K_max", &p->kmax, Above{0});
   visit("bottleneck-kbps K", "bottleneck bandwidth", &p->bottleneck,
-        &Rate::kilobits_per_sec);
+        &Rate::kilobits_per_sec, Above{0});
   visit("rtt-ms MS", "round-trip propagation", &p->rtt, 1000.0);
   visit("faults N", "random fault-schedule intensity", &p->random_faults);
   visit_base_flags(visit, p);
@@ -185,8 +210,9 @@ void visit_experiment_flags(FlagVisitor& visit, ExperimentParams* p) {
 
 void visit_sweep_axes(FlagVisitor& visit, SweepGrid* g) {
   visit("seeds LIST", "base RNG seeds", &g->seeds);
-  visit("kmax LIST", "K_max values", &g->kmax);
-  visit("bottleneck-kbps LIST", "bottleneck bandwidths", &g->bottleneck_kbps);
+  visit("kmax LIST", "K_max values", &g->kmax, Above{0});
+  visit("bottleneck-kbps LIST", "bottleneck bandwidths", &g->bottleneck_kbps,
+        Above{0});
   visit("rtt-ms LIST", "round-trip times", &g->rtt_ms);
   visit("loss LIST", "Bernoulli wire-loss rates", &g->loss_rate);
   visit("faults LIST", "random fault counts", &g->faults);
@@ -198,13 +224,13 @@ void visit_farm_flags(FlagVisitor& visit, FarmParams* p) {
         &p->backend);
   visit("seed N", "farm seed", &p->seed);
   visit("slots N", "concurrent-session capacity", &p->slots);
-  visit("duration-s SECS", "simulated duration", &p->duration, 1.0);
+  visit("duration-s SECS", "simulated duration", &p->duration, 1.0, Above{0});
   visit("bottleneck-kbps K", "shared bottleneck bandwidth", &p->bottleneck_bw,
-        &Rate::kilobits_per_sec);
+        &Rate::kilobits_per_sec, Above{0});
   visit("rtt-ms MS", "base round-trip propagation", &p->rtt, 1000.0);
-  visit("layers N", "stream layers", &p->stream_layers);
+  visit("layers N", "stream layers", &p->stream_layers, Above{0});
   visit("layer-rate BPS", "per-layer consumption C", &p->layer_rate,
-        &Rate::bytes_per_sec);
+        &Rate::bytes_per_sec, Above{0});
   visit("packet-size B", "data packet size", &p->packet_size);
   visit("arrival-rate HZ", "Poisson arrival rate", &p->arrival_rate_hz);
   visit("mean-session-s SECS", "mean exponential session lifetime",
@@ -220,8 +246,7 @@ void visit_farm_flags(FlagVisitor& visit, FarmParams* p) {
   visit("outage-at SECS", "bottleneck outage start, <0 disables",
         &p->outage_at, 1.0);
   visit("outage-s SECS", "outage duration", &p->outage, 1.0);
-  visit("sample-dt SECS", "aggregate sample/evaluation period", &p->sample_dt,
-        1.0);
+  visit("sample-dt SECS", "aggregate sample period", &p->sample_dt, 1.0);
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 // *_usage() prints one line per flag with the default taken from the same
 // preset. A bad enumerated value (--backend, --allocation, --preset,
 // --backends) throws std::invalid_argument carrying the invalid_choice()
-// message; a malformed --shard throws one naming the I/K form. A reader
-// leaves every flag it does not own unread, so exit_on_unknown_flags()
-// reports what the chosen mode ignores.
+// message; a malformed --shard throws one naming the I/K form; a
+// --duration-s, --kmax, --layers, --layer-rate or --bottleneck-kbps value
+// that is not finite and > 0 throws one naming the flag, range and value.
+// A reader leaves every flag it does not own unread, so
+// exit_on_unknown_flags() reports what the chosen mode ignores.
 #pragma once
 
 #include <cstddef>

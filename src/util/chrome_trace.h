@@ -82,8 +82,6 @@ class ChromeTraceWriter {
   static constexpr int kLinkTrack = 5;
   // Farm-level control plane: admission verdicts, shed-ladder rung.
   static constexpr int kFarmTrack = 6;
-  // SLO alert open/close instants (util/slo.h burn-rate engine).
-  static constexpr int kSloTrack = 7;
   // Per-video-layer journey lanes: layer k renders on track
   // kJourneyTrackBase + k (named lazily on the layer's first span).
   static constexpr int kJourneyTrackBase = 16;

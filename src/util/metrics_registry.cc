@@ -187,6 +187,9 @@ void MetricsRegistry::write_csv(const std::string& path) const {
   }
 }
 
+namespace {
+
+// One row rendered as the canonical JSON object write_json emits.
 std::string metrics_row_json(const MetricsRegistry::Row& r) {
   std::string out = "{\"kind\": " + json_quote(r.kind) +
                     ", \"value\": " + json_number(r.value);
@@ -204,7 +207,8 @@ std::string metrics_row_json(const MetricsRegistry::Row& r) {
     for (const Histogram::Bucket& b : r.buckets) {
       if (!first) out += ", ";
       first = false;
-      out += "[" + json_number(b.lower) + ", " + json_number(b.upper) + ", " +
+      out += '[';
+      out += json_number(b.lower) + ", " + json_number(b.upper) + ", " +
              json_number(b.count) + "]";
     }
     out += "]";
@@ -212,6 +216,8 @@ std::string metrics_row_json(const MetricsRegistry::Row& r) {
   out += "}";
   return out;
 }
+
+}  // namespace
 
 void MetricsRegistry::write_json(const std::string& path) const {
   std::string out = "{\n";
@@ -223,64 +229,6 @@ void MetricsRegistry::write_json(const std::string& path) const {
   }
   out += "\n}\n";
   write_text_file(path, out);
-}
-
-// ---- MetricsSnapshot / MetricsSnapshotter ----------------------------------
-
-namespace {
-
-// Value equality with NaN == NaN, so a non-finite gauge does not read as
-// freshly changed on every capture.
-bool same_value(double a, double b) {
-  return a == b || (std::isnan(a) && std::isnan(b));
-}
-
-bool same_row(const MetricsRegistry::Row& a, const MetricsRegistry::Row& b) {
-  return a.kind == b.kind && same_value(a.value, b.value) &&
-         a.count == b.count && same_value(a.sum, b.sum) &&
-         same_value(a.min, b.min) && same_value(a.max, b.max) &&
-         same_value(a.p50, b.p50) && same_value(a.p90, b.p90) &&
-         same_value(a.p99, b.p99);
-}
-
-}  // namespace
-
-std::vector<MetricsRegistry::Row> MetricsSnapshot::changed_since(
-    uint64_t since) const {
-  std::vector<MetricsRegistry::Row> rows;
-  for (const Entry& e : entries) {
-    if (e.last_changed > since) rows.push_back(e.row);
-  }
-  return rows;
-}
-
-MetricsSnapshotter::MetricsSnapshotter(const MetricsRegistry* registry)
-    : registry_(registry) {
-  QA_CHECK(registry_ != nullptr);
-}
-
-const MetricsSnapshot& MetricsSnapshotter::capture() {
-  std::vector<MetricsRegistry::Row> rows = registry_->snapshot();
-  MetricsSnapshot next;
-  next.seq = snap_.seq + 1;
-  next.entries.reserve(rows.size());
-  // Both row lists are sorted by name: one merge walk pairs each new row
-  // with its previous entry (if any) to carry last_changed forward.
-  auto prev = snap_.entries.begin();
-  for (MetricsRegistry::Row& row : rows) {
-    while (prev != snap_.entries.end() && prev->row.name < row.name) ++prev;
-    MetricsSnapshot::Entry e;
-    if (prev != snap_.entries.end() && prev->row.name == row.name &&
-        same_row(prev->row, row)) {
-      e.last_changed = prev->last_changed;
-    } else {
-      e.last_changed = next.seq;
-    }
-    e.row = std::move(row);
-    next.entries.push_back(std::move(e));
-  }
-  snap_ = std::move(next);
-  return snap_;
 }
 
 }  // namespace qa

@@ -19,14 +19,6 @@
 // Handed-out instrument references stay valid for the registry's lifetime
 // (node-based maps). Export: snapshot() for in-process consumers, CSV and
 // JSON writers for artifacts.
-//
-// Incremental capture (TimeSeriesRecorder samples through it): a
-// MetricsSnapshotter captures versioned MetricsSnapshots. Every capture()
-// gets a monotonically increasing sequence number and records, per row,
-// the capture at which it last changed; changed_since(seq) then yields
-// exactly the rows that moved after `seq`, so a consumer does O(changed
-// rows) work per capture instead of re-reading the world. The snapshotter
-// is single-threaded (the sim thread's).
 #pragma once
 
 #include <cstdint>
@@ -160,47 +152,6 @@ class MetricsRegistry {
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, std::function<double()>> gauge_fns_;
   std::map<std::string, Histogram> histograms_;
-};
-
-// One row rendered as the canonical JSON object used by write_json.
-std::string metrics_row_json(const MetricsRegistry::Row& r);
-
-// A captured registry state with change tracking. `seq` is the capture's
-// sequence number (1-based; a default-constructed snapshot has seq 0 and
-// no entries). Entries stay sorted by name, mirroring
-// MetricsRegistry::snapshot().
-struct MetricsSnapshot {
-  struct Entry {
-    MetricsRegistry::Row row;
-    uint64_t last_changed = 0;  // capture seq at which the row last moved
-  };
-
-  uint64_t seq = 0;
-  std::vector<Entry> entries;
-
-  // Rows that changed strictly after capture `since` (0 = everything, so
-  // changed_since(0) is the full snapshot). A row created after `since`
-  // counts as changed.
-  std::vector<MetricsRegistry::Row> changed_since(uint64_t since) const;
-};
-
-// Captures versioned snapshots of one registry and tracks per-row change
-// sequence numbers across captures. Not thread-safe: capture() must run on
-// the thread that owns the registry (callback gauges read live objects).
-class MetricsSnapshotter {
- public:
-  explicit MetricsSnapshotter(const MetricsRegistry* registry);
-
-  // Re-reads the registry, bumps seq, and marks rows whose values moved
-  // (or that are new) as changed at the new seq. Returns the snapshot,
-  // which stays valid until the next capture().
-  const MetricsSnapshot& capture();
-
-  const MetricsSnapshot& current() const { return snap_; }
-
- private:
-  const MetricsRegistry* registry_;
-  MetricsSnapshot snap_;
 };
 
 }  // namespace qa

@@ -79,15 +79,6 @@ double TimeSeries::time_average(TimePoint from, TimePoint to) const {
   return area / (to - from).sec();
 }
 
-std::vector<TimeSeries::Point> TimeSeries::resample(TimePoint from, TimePoint to,
-                                                    TimeDelta step) const {
-  std::vector<Point> out;
-  for (TimePoint t = from; t <= to; t += step) {
-    out.push_back({t, step_value_at(t)});
-  }
-  return out;
-}
-
 double jain_fairness(const std::vector<double>& allocations) {
   if (allocations.empty()) return 0.0;
   double sum = 0, sq = 0;
@@ -97,14 +88,6 @@ double jain_fairness(const std::vector<double>& allocations) {
   }
   if (sq <= 0) return 0.0;
   return sum * sum / (static_cast<double>(allocations.size()) * sq);
-}
-
-int count_changes(const std::vector<TimeSeries::Point>& pts) {
-  int changes = 0;
-  for (size_t i = 1; i < pts.size(); ++i) {
-    if (pts[i].value != pts[i - 1].value) ++changes;
-  }
-  return changes;
 }
 
 }  // namespace qa

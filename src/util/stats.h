@@ -67,16 +67,9 @@ class TimeSeries {
   // Mean of the step function over [from, to).
   double time_average(TimePoint from, TimePoint to) const;
 
-  // Resample onto a fixed grid (step function semantics); handy for CSVs.
-  std::vector<Point> resample(TimePoint from, TimePoint to, TimeDelta step) const;
-
  private:
   std::vector<Point> points_;  // ascending in t by construction
 };
-
-// Counts transitions in an integer-valued step series (e.g. number of
-// quality/layer changes over a run).
-int count_changes(const std::vector<TimeSeries::Point>& pts);
 
 // Jain's fairness index over per-flow allocations: (sum x)^2 / (n sum x^2),
 // 1.0 = perfectly fair, 1/n = one flow hogs everything. Empty input -> 0.

@@ -27,8 +27,8 @@ struct RetxFixture {
     SessionConfig cfg;
     cfg.stream_layers = 4;
     cfg.layer_rate = Rate::kilobytes_per_sec(5);
-    cfg.rap.packet_size = 500;
-    cfg.rap.initial_rate = Rate::kilobytes_per_sec(5);
+    cfg.cc.packet_size = 500;
+    cfg.cc.initial_rate = Rate::kilobytes_per_sec(5);
     cfg.adapter.kmax = 2;
     cfg.server.retransmit_below_layer = retransmit_below;
     session = std::make_unique<Session>(net, d.left[0], d.right[0], cfg);
@@ -48,7 +48,7 @@ TEST(Retransmission, ResendsLostBasePackets) {
   // Only base-layer packets qualify; upper-layer losses are never resent.
   // (Indirect check: retransmissions are bounded by total base losses.)
   EXPECT_LE(f.session->server().retransmissions(),
-            f.session->rap_source().losses_detected());
+            f.session->controller().losses_detected());
 }
 
 TEST(Retransmission, ImprovesDeliveredBaseBytes) {

@@ -436,8 +436,9 @@ TEST(SweepFlags, AxisListsParseStrictly) {
   }
 }
 
-// qa_slo's fig2 mode reads only the experiment flags, so a farm-only flag
-// reaches the typo gate instead of being silently ignored.
+// A tool that reads only the experiment flags (qa_trace) leaves a
+// farm-only flag unread, so it reaches the typo gate instead of being
+// silently ignored.
 TEST(ToolFlags, FarmOnlyFlagsAreUnusedInFig2Mode) {
   const Flags flags = make({"--slots", "3", "--arrival-rate", "2",
                             "--no-admission", "--duration-s", "5"});
@@ -492,6 +493,39 @@ TEST(ToolFlags, BadChoicesGiveTheInvalidChoiceMessage) {
     EXPECT_EQ(error_of({"--shard", shard}, sweep),
               "bad --shard '" + shard + "' (want I/K, 0<=I<K)");
   }
+}
+
+TEST(ToolFlags, OutOfDomainNumbersGiveTheRangeMessage) {
+  const auto experiment = [](const Flags& f) {
+    ExperimentParams p;
+    read_experiment_flags(f, &p);
+  };
+  const auto farm = [](const Flags& f) {
+    FarmParams p;
+    read_farm_flags(f, &p);
+  };
+  const auto sweep = [](const Flags& f) {
+    SweepGrid g;
+    SweepOptions opts;
+    read_sweep_flags(f, &g, &opts);
+  };
+  EXPECT_EQ(error_of({"--kmax", "-3"}, experiment),
+            "--kmax must be > 0 (got -3)");
+  EXPECT_EQ(error_of({"--layers", "0"}, experiment),
+            "--layers must be > 0 (got 0)");
+  EXPECT_EQ(error_of({"--duration-s=-3"}, experiment),
+            "--duration-s must be finite and > 0 (got -3)");
+  EXPECT_EQ(error_of({"--layer-rate", "0"}, experiment),
+            "--layer-rate must be finite and > 0 (got 0)");
+  EXPECT_EQ(error_of({"--bottleneck-kbps", "nan"}, experiment),
+            "--bottleneck-kbps must be finite and > 0 (got nan)");
+  EXPECT_EQ(error_of({"--duration-s", "inf"}, farm),
+            "--duration-s must be finite and > 0 (got inf)");
+  EXPECT_EQ(error_of({"--kmax", "1,0"}, sweep), "--kmax must be > 0 (got 0)");
+  EXPECT_EQ(error_of({"--bottleneck-kbps", "240,-1"}, sweep),
+            "--bottleneck-kbps must be finite and > 0 (got -1)");
+  EXPECT_EQ(error_of({"--layers", "0"}, sweep),
+            "--layers must be > 0 (got 0)");
 }
 
 // ---- Usage lines carry the preset's defaults --------------------------------

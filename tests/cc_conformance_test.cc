@@ -130,9 +130,9 @@ TEST_P(BackendConformance, AckStarvationQuiescenceAndRecovery) {
   cfg.adapter.consumption_rate = 2'500;
   cfg.adapter.max_layers = 4;
   cfg.adapter.kmax = 2;
-  cfg.rap.packet_size = 500;
-  cfg.rap.initial_rate = Rate::bytes_per_sec(2'500);
-  cfg.rap.initial_rtt = TimeDelta::millis(40);
+  cfg.cc.packet_size = 500;
+  cfg.cc.initial_rate = Rate::bytes_per_sec(2'500);
+  cfg.cc.initial_rtt = TimeDelta::millis(40);
   cfg.stream_layers = 4;
   cfg.layer_rate = Rate::bytes_per_sec(2'500);
   Session session(net, d.left[0], d.right[0], cfg);

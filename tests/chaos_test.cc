@@ -65,9 +65,9 @@ TEST(ChaosDeterministic, DataOutageYieldsRebufferIntervalNotNegativeBuffer) {
   cfg.adapter.consumption_rate = 2'500;
   cfg.adapter.max_layers = 4;
   cfg.adapter.kmax = 2;
-  cfg.rap.packet_size = 500;
-  cfg.rap.initial_rate = Rate::bytes_per_sec(2'500);
-  cfg.rap.initial_rtt = TimeDelta::millis(40);
+  cfg.cc.packet_size = 500;
+  cfg.cc.initial_rate = Rate::bytes_per_sec(2'500);
+  cfg.cc.initial_rtt = TimeDelta::millis(40);
   cfg.stream_layers = 4;
   cfg.layer_rate = Rate::bytes_per_sec(2'500);
   Session session(net, d.left[0], d.right[0], cfg);
@@ -106,7 +106,7 @@ TEST(ChaosDeterministic, DataOutageYieldsRebufferIntervalNotNegativeBuffer) {
   EXPECT_FALSE(client.rebuffering());
   // The outage tripped the source's starvation handling and the server's
   // base-layer-only degradation at least once.
-  EXPECT_GE(session.rap_source().quiescence_entries(), 1);
+  EXPECT_GE(session.controller().quiescence_entries(), 1);
   EXPECT_GE(session.server().adapter().degraded_entries(), 1);
 }
 

@@ -105,19 +105,6 @@ TEST(TimeSeries, TimeAverageDegenerate) {
       ts.time_average(TimePoint::from_sec(1), TimePoint::from_sec(1)), 0.0);
 }
 
-TEST(TimeSeries, Resample) {
-  TimeSeries ts;
-  ts.add(TimePoint::from_sec(0.0), 1.0);
-  ts.add(TimePoint::from_sec(1.0), 2.0);
-  const auto pts = ts.resample(TimePoint::from_sec(0), TimePoint::from_sec(2),
-                               TimeDelta::millis(500));
-  ASSERT_EQ(pts.size(), 5u);
-  EXPECT_DOUBLE_EQ(pts[0].value, 1.0);
-  EXPECT_DOUBLE_EQ(pts[1].value, 1.0);
-  EXPECT_DOUBLE_EQ(pts[2].value, 2.0);
-  EXPECT_DOUBLE_EQ(pts[4].value, 2.0);
-}
-
 TEST(JainFairness, KnownValues) {
   EXPECT_DOUBLE_EQ(jain_fairness({}), 0.0);
   EXPECT_DOUBLE_EQ(jain_fairness({5.0}), 1.0);
@@ -127,17 +114,6 @@ TEST(JainFairness, KnownValues) {
   // Classic example: {1,2,3} -> 36 / (3*14) = 6/7.
   EXPECT_NEAR(jain_fairness({1.0, 2.0, 3.0}), 6.0 / 7, 1e-12);
   EXPECT_DOUBLE_EQ(jain_fairness({0.0, 0.0}), 0.0);
-}
-
-TEST(TimeSeries, CountChanges) {
-  TimeSeries ts;
-  ts.add(TimePoint::from_sec(0), 1);
-  ts.add(TimePoint::from_sec(1), 1);
-  ts.add(TimePoint::from_sec(2), 2);
-  ts.add(TimePoint::from_sec(3), 2);
-  ts.add(TimePoint::from_sec(4), 1);
-  EXPECT_EQ(count_changes(ts.points()), 2);
-  EXPECT_EQ(count_changes({}), 0);
 }
 
 }  // namespace
