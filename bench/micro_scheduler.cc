@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "bench_util.h"
@@ -121,10 +122,18 @@ Side run_side(uint64_t ops, int width, int repeats) {
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const uint64_t ops =
-      static_cast<uint64_t>(flags.get_int("ops", 2'000'000));
-  const int width = static_cast<int>(flags.get_int("width", 64));
-  const int repeats = static_cast<int>(flags.get_int("repeats", 3));
+  uint64_t ops = 2'000'000;
+  int width = 64;
+  int repeats = 3;
+  try {
+    ops = static_cast<uint64_t>(
+        flags.get_int("ops", static_cast<int64_t>(ops)));
+    width = static_cast<int>(flags.get_int("width", width));
+    repeats = static_cast<int>(flags.get_int("repeats", repeats));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "micro_scheduler: %s\n", e.what());
+    return 1;
+  }
   const std::string json_path =
       flags.get_or("json", bench::out_path("BENCH_sched.json"));
   const auto unused = flags.unused();

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "app/session.h"
@@ -94,9 +95,16 @@ double best_of(int repeats, uint64_t sessions, const app::SessionConfig& cfg) {
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const uint64_t sessions =
-      static_cast<uint64_t>(flags.get_int("sessions", 20'000));
-  const int repeats = static_cast<int>(flags.get_int("repeats", 3));
+  uint64_t sessions = 20'000;
+  int repeats = 3;
+  try {
+    sessions = static_cast<uint64_t>(
+        flags.get_int("sessions", static_cast<int64_t>(sessions)));
+    repeats = static_cast<int>(flags.get_int("repeats", repeats));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "micro_session_churn: %s\n", e.what());
+    return 1;
+  }
   const std::string json_path =
       flags.get_or("json", bench::out_path("BENCH_farm.json"));
   const auto unused = flags.unused();

@@ -3,12 +3,14 @@
 // One server plays the same 8-layer stream to three clients with very
 // different access capacities (modem-class, midband, broadband). Each
 // session adapts independently: the slow client settles on few layers, the
-// fast one on many, and nobody rebuffers. This also exercises the §3.1
+// fast one on many, and stalls stay short (the modem client's last about
+// a tenth of a second over the minute). This also exercises the §3.1
 // "2.9 layers" effect: with the surplus-ladder extension enabled, the
 // modem-class client keeps a third layer active most of the time even
 // though its average bandwidth cannot quite sustain three layers.
 //
 //   $ ./heterogeneous_clients
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -84,6 +86,7 @@ int main() {
   std::printf("one server, three access classes, after %.0f s:\n\n", duration);
   std::printf("  %-22s %7s %8s %10s %9s\n", "client", "layers", "kB/s",
               "buffered", "stalls(s)");
+  double longest_stall = 0;
   for (size_t i = 0; i < sessions.size(); ++i) {
     auto& s = *sessions[i];
     s.client().sync();
@@ -91,10 +94,12 @@ int main() {
                 s.server().adapter().active_layers(),
                 s.controller().rate().kBps(), s.client().total_buffer(),
                 s.client().base_stall().sec());
+    longest_stall = std::max(longest_stall, s.client().base_stall().sec());
   }
   std::printf(
       "\nEach session adapted to its own path: quality tracks access\n"
-      "capacity while playback never stalls — the heterogeneity story the\n"
-      "paper's introduction motivates.\n");
+      "capacity, and no playback stalled longer than %.3f s in total — the\n"
+      "heterogeneity story the paper's introduction motivates.\n",
+      longest_stall);
   return 0;
 }

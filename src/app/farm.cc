@@ -67,16 +67,15 @@ class Farm {
         static_cast<size_t>(params_.slots));
     info_.resize(static_cast<size_t>(params_.slots));
 
-    // One tail sketch per access class, fed at session departure and
-    // merged farm-wide at finalize — true p50/p95/p99 of per-session
-    // rebuffer time and goodput at O(compression) memory per class,
-    // independent of how many sessions churn through.
+    // One sample set per access class, fed at session departure: the
+    // tails are exact percentiles over every retired session (one double
+    // each, a few KB even for churn500).
     int n_classes = 0;
     for (const int c : topo_.access_class) {
       n_classes = std::max(n_classes, c + 1);
     }
-    stall_sketches_.assign(static_cast<size_t>(n_classes), QuantileSketch());
-    goodput_sketches_.assign(static_cast<size_t>(n_classes), QuantileSketch());
+    stall_tails_.resize(static_cast<size_t>(n_classes));
+    goodput_tails_.resize(static_cast<size_t>(n_classes));
 
     if (params_.trace != nullptr) {
       params_.trace->name_track(ChromeTraceWriter::kFarmTrack,
@@ -299,9 +298,9 @@ class Farm {
     result_.total_packets_received += session.client().packets_received();
 
     const size_t cls = static_cast<size_t>(topo_.access_class[s]);
-    stall_sketches_[cls].add(session.client().base_stall().sec());
+    stall_tails_[cls].add(session.client().base_stall().sec());
     if (lifetime > 0) {
-      goodput_sketches_[cls].add(
+      goodput_tails_[cls].add(
           static_cast<double>(session.client().packets_received()) *
           static_cast<double>(params_.packet_size) / lifetime);
     }
@@ -572,15 +571,14 @@ class Farm {
       reg.gauge("farm.mean_active").set(result_.mean_active);
       reg.gauge("farm.duration_s").set(end.sec());
 
-      // Tail percentiles from the mergeable sketches: per-class sketches
-      // fold into one farm-wide sketch (fixed merge order = class index,
-      // so the export is deterministic), then both levels land as gauges.
+      // Exact tail percentiles per class, then farm-wide over the classes'
+      // samples concatenated in class order.
       const auto export_tails = [&reg](const std::string& base,
-                                       const std::vector<QuantileSketch>&
+                                       const std::vector<SampleSet>&
                                            per_class) {
-        QuantileSketch all;
+        SampleSet all;
         for (size_t c = 0; c < per_class.size(); ++c) {
-          all.merge(per_class[c]);
+          for (const double x : per_class[c].samples()) all.add(x);
           const std::string cls = base + ".class" + std::to_string(c);
           reg.gauge(cls + ".count")
               .set(static_cast<double>(per_class[c].count()));
@@ -591,8 +589,8 @@ class Farm {
         reg.gauge(base + ".p95").set(all.percentile(95));
         reg.gauge(base + ".p99").set(all.percentile(99));
       };
-      export_tails("farm.tail.rebuffer_s", stall_sketches_);
-      export_tails("farm.tail.goodput_Bps", goodput_sketches_);
+      export_tails("farm.tail.rebuffer_s", stall_tails_);
+      export_tails("farm.tail.goodput_Bps", goodput_tails_);
     }
   }
 
@@ -617,9 +615,9 @@ class Farm {
   int active_ = 0;
   uint64_t admit_counter_ = 0;
   uint64_t next_client_id_ = 0;
-  // Per-access-class tail sketches, fed at retire().
-  std::vector<QuantileSketch> stall_sketches_;
-  std::vector<QuantileSketch> goodput_sketches_;
+  // Per-access-class tail samples, fed at retire().
+  std::vector<SampleSet> stall_tails_;
+  std::vector<SampleSet> goodput_tails_;
   std::optional<double> queue_ewma_;
   std::optional<double> rebuffer_ewma_;
   TimePoint last_shed_;

@@ -35,7 +35,6 @@
 #include "util/flightrec.h"
 #include "util/metrics_registry.h"
 #include "util/rundiff.h"
-#include "util/sketch.h"
 #include "util/units.h"
 
 namespace qa::app {

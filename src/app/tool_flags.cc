@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -56,51 +55,65 @@ std::string show(T v) {
   }
 }
 
-// A numeric flag's domain: finite and strictly above `bound`.
-struct Above {
-  double bound;
+// A numeric flag's domain: finite, and between `lo` and `hi`, each end
+// open or closed. The default is every finite number.
+struct Domain {
+  double lo = -HUGE_VAL;
+  bool lo_closed = true;
+  double hi = HUGE_VAL;
+  bool hi_closed = true;
 };
-
-// `v`, read from `flag`, unless it lies outside `above`: then the
-// std::invalid_argument naming the flag, its range and the value.
-template <typename T>
-T checked(const char* flag, T v, std::optional<Above> above) {
-  const double x = static_cast<double>(v);
-  if (!above || (std::isfinite(x) && x > above->bound)) return v;
-  std::string range = std::is_floating_point_v<T> ? "finite and > " : "> ";
-  range += show(above->bound);
-  throw std::invalid_argument("--" + name(flag) + " must be " + range +
-                              " (got " + show(v) + ")");
+constexpr Domain above(double lo) { return {lo, false}; }
+constexpr Domain at_least(double lo) { return {lo, true}; }
+constexpr Domain closed(double lo, double hi) { return {lo, true, hi, true}; }
+constexpr Domain half_open(double lo, double hi) {
+  return {lo, true, hi, false};
 }
 
-// One element of a comma list; it must parse in full (and lie in `above`).
+bool contains(const Domain& d, double x) {
+  return std::isfinite(x) && (d.lo_closed ? x >= d.lo : x > d.lo) &&
+         (d.hi_closed ? x <= d.hi : x < d.hi);
+}
+
+// "finite and > 0", "in [0, 1)", ">= 1" (integers are always finite).
 template <typename T>
-T element(const char* flag, const std::string& token,
-          std::optional<Above> above) {
-  if (token.empty()) throw std::invalid_argument("empty list element");
-  if constexpr (std::is_enum_v<T>) {
-    return choice<T>(flag, token);
-  } else {
-    size_t used = 0;
-    T v{};
-    if constexpr (std::is_same_v<T, double>) v = std::stod(token, &used);
-    if constexpr (std::is_same_v<T, int>) v = std::stoi(token, &used);
-    if constexpr (std::is_same_v<T, uint64_t>) v = std::stoull(token, &used);
-    if (used != token.size()) {
-      throw std::invalid_argument("trailing characters in '" + token + "'");
-    }
-    return checked(flag, v, above);
+std::string range_text(const Domain& d) {
+  std::string bounds;
+  if (std::isfinite(d.hi)) {
+    bounds = std::string("in ") + (d.lo_closed ? "[" : "(") + show(d.lo) +
+             ", " + show(d.hi) + (d.hi_closed ? "]" : ")");
+  } else if (std::isfinite(d.lo)) {
+    bounds = (d.lo_closed ? ">= " : "> ") + show(d.lo);
   }
+  if (!std::is_floating_point_v<T>) return bounds;
+  return bounds.empty() ? "finite" : "finite and " + bounds;
+}
+
+// `v`, read from `flag`, unless it lies outside `domain`: then the
+// std::invalid_argument naming the flag, its range and the value.
+template <typename T>
+T checked(const char* flag, T v, const Domain& domain) {
+  if (contains(domain, static_cast<double>(v))) return v;
+  throw std::invalid_argument("--" + name(flag) + " must be " +
+                              range_text<T>(domain) + " (got " + show(v) +
+                              ")");
+}
+
+// One number or list element; it must parse in full and lie in `domain`.
+template <typename T>
+T number(const char* flag, const std::string& token, const Domain& domain) {
+  return checked(flag, parse_number<T>(name(flag), token), domain);
 }
 
 // Each params type lists its flags once, in a visit_* function below, as
-// visit("name METAVAR", "help", &field[, unit][, Above{bound}]). The one
-// visitor either reads every flag into its field or appends every flag's
-// usage line with the field's value as the default, so a flag's parser and
-// its --help line cannot disagree on name, field or unit. Reading writes a
-// field only when its flag is set: an absent flag leaves the preset's value
-// bit-identical (no unit round trip). A bounded flag's value must also be
-// finite and above the bound; the reader throws otherwise.
+// visit("name METAVAR", "help", &field[, unit], domain). Every numeric
+// flag names its domain; switches and enumerated choices have none. The
+// one visitor either reads every flag into its field or appends every
+// flag's usage line with the field's value as the default, so a flag's
+// parser and its --help line cannot disagree on name, field or unit.
+// Reading writes a field only when its flag is set: an absent flag leaves
+// the preset's value bit-identical (no unit round trip). A value that does
+// not parse in full, or lies outside its domain, makes the reader throw.
 class FlagVisitor {
  public:
   // Reads `*flags`; with nullptr, collects usage lines in `text` instead.
@@ -108,44 +121,68 @@ class FlagVisitor {
 
   std::string text;
 
+  // A switch or an enumerated choice.
   template <typename T>
-  void operator()(const char* flag, const char* help, T* field,
-                  std::optional<Above> above = std::nullopt) {
+  void operator()(const char* flag, const char* help, T* field) {
+    static_assert(std::is_same_v<T, bool> || std::is_enum_v<T>);
     if (flags_ == nullptr) return line(flag, help, show(*field));
     if constexpr (std::is_same_v<T, bool>) {
       *field = flags_->get_bool(name(flag), *field);
-    } else if constexpr (std::is_enum_v<T>) {
-      if (const auto v = flags_->get(name(flag))) *field = choice<T>(flag, *v);
-    } else if constexpr (std::is_integral_v<T>) {
-      const auto v = flags_->get_int(name(flag), static_cast<int64_t>(*field));
-      *field = static_cast<T>(checked(flag, v, above));
-    } else {
-      *field = checked(flag, flags_->get_double(name(flag), *field), above);
+    } else if (const auto v = flags_->get(name(flag))) {
+      *field = choice<T>(flag, *v);
+    }
+  }
+  // A plain number.
+  template <typename T>
+  void operator()(const char* flag, const char* help, T* field,
+                  const Domain& domain) {
+    static_assert(std::is_arithmetic_v<T>);
+    if (flags_ == nullptr) return line(flag, help, show(*field));
+    if (const auto v = flags_->get(name(flag))) {
+      *field = number<T>(flag, *v, domain);
     }
   }
   // `unit` maps the flag's number to a Rate (Rate::kilobits_per_sec, ...).
   void operator()(const char* flag, const char* help, Rate* field,
-                  Rate (*unit)(double),
-                  std::optional<Above> above = std::nullopt) {
+                  Rate (*unit)(double), const Domain& domain) {
     if (flags_ == nullptr) {
       return line(flag, help, show(field->bps() / unit(1).bps()));
     }
-    if (const auto v = number(flag)) *field = unit(checked(flag, *v, above));
+    if (const auto v = flags_->get(name(flag))) {
+      *field = unit(number<double>(flag, *v, domain));
+    }
   }
   // `per_sec` flag units per second: 1 for seconds, 1000 for milliseconds.
   void operator()(const char* flag, const char* help, TimeDelta* field,
-                  double per_sec, std::optional<Above> above = std::nullopt) {
+                  double per_sec, const Domain& domain) {
     if (flags_ == nullptr) {
       return line(flag, help, show(field->sec() * per_sec));
     }
-    if (const auto v = number(flag)) {
-      *field = TimeDelta::from_sec(checked(flag, *v, above) / per_sec);
+    if (const auto v = flags_->get(name(flag))) {
+      *field = TimeDelta::from_sec(number<double>(flag, *v, domain) / per_sec);
     }
   }
-  // Sweep axes: comma-separated lists.
+  // Sweep axes: comma-separated lists of numbers, each in `domain`...
   template <typename T>
   void operator()(const char* flag, const char* help, std::vector<T>* field,
-                  std::optional<Above> above = std::nullopt) {
+                  const Domain& domain) {
+    list(flag, help, field, [&](const std::string& token) {
+      return number<T>(flag, token, domain);
+    });
+  }
+  // ...or of enumerated choices.
+  template <typename T>
+  void operator()(const char* flag, const char* help, std::vector<T>* field) {
+    static_assert(std::is_enum_v<T>);
+    list(flag, help, field, [&](const std::string& token) {
+      return choice<T>(flag, token);
+    });
+  }
+
+ private:
+  template <typename T, typename Element>
+  void list(const char* flag, const char* help, std::vector<T>* field,
+            const Element& element) {
     if (flags_ == nullptr) {
       std::string values;
       for (const T v : *field) {
@@ -156,20 +193,13 @@ class FlagVisitor {
     }
     const auto v = flags_->get(name(flag));
     if (!v) return;
-    std::vector<T> list;
+    std::vector<T> parsed;
     for (size_t pos = 0; pos <= v->size();) {
       const size_t comma = std::min(v->find(',', pos), v->size());
-      list.push_back(element<T>(flag, v->substr(pos, comma - pos), above));
+      parsed.push_back(element(v->substr(pos, comma - pos)));
       pos = comma + 1;
     }
-    *field = std::move(list);
-  }
-
- private:
-  std::optional<double> number(const char* flag) const {
-    const auto v = flags_->get(name(flag));
-    if (!v || v->empty()) return std::nullopt;
-    return std::strtod(v->c_str(), nullptr);
+    *field = std::move(parsed);
   }
   void line(const char* flag, const char* help, const std::string& def) {
     char buf[192];
@@ -183,70 +213,77 @@ class FlagVisitor {
 
 // The scenario fields no sweep axis covers.
 void visit_base_flags(FlagVisitor& visit, ExperimentParams* p) {
-  visit("duration-s SECS", "run length", &p->duration_sec, Above{0});
-  visit("rap-flows N", "RAP flows incl. the QA one", &p->rap_flows);
-  visit("tcp-flows N", "competing TCP flows", &p->tcp_flows);
+  visit("duration-s SECS", "run length", &p->duration_sec, above(0));
+  visit("rap-flows N", "RAP flows incl. the QA one", &p->rap_flows,
+        at_least(1));
+  visit("tcp-flows N", "competing TCP flows", &p->tcp_flows, at_least(0));
   visit("cbr", "CBR step at a fraction of the bottleneck", &p->with_cbr);
-  visit("layers N", "stream layers", &p->stream_layers, Above{0});
+  visit("layers N", "stream layers", &p->stream_layers, above(0));
   visit("layer-rate BPS", "per-layer consumption C", &p->layer_rate,
-        &Rate::bytes_per_sec, Above{0});
-  visit("queue-bytes B", "bottleneck queue", &p->bottleneck_queue_bytes);
+        &Rate::bytes_per_sec, above(0));
+  visit("queue-bytes B", "bottleneck queue, 0 = one BDP",
+        &p->bottleneck_queue_bytes, at_least(0));
   visit("red", "RED bottleneck instead of drop-tail", &p->red_bottleneck);
   visit("allocation P", "optimal | equal-share | base-only", &p->allocation);
-  visit("packet-size B", "data packet size", &p->packet_size);
+  visit("packet-size B", "data packet size", &p->packet_size, above(0));
 }
 
 void visit_experiment_flags(FlagVisitor& visit, ExperimentParams* p) {
   visit("backend NAME", "QA-flow congestion control: rap, tfrc, nada",
         &p->backend);
-  visit("seed N", "RNG seed", &p->seed);
-  visit("kmax N", "max backoffs survivable, K_max", &p->kmax, Above{0});
+  visit("seed N", "RNG seed", &p->seed, Domain{});
+  visit("kmax N", "max backoffs survivable, K_max", &p->kmax, above(0));
   visit("bottleneck-kbps K", "bottleneck bandwidth", &p->bottleneck,
-        &Rate::kilobits_per_sec, Above{0});
-  visit("rtt-ms MS", "round-trip propagation", &p->rtt, 1000.0);
-  visit("faults N", "random fault-schedule intensity", &p->random_faults);
+        &Rate::kilobits_per_sec, above(0));
+  visit("rtt-ms MS", "round-trip propagation", &p->rtt, 1000.0, above(0));
+  visit("faults N", "random fault-schedule intensity", &p->random_faults,
+        at_least(0));
   visit_base_flags(visit, p);
 }
 
 void visit_sweep_axes(FlagVisitor& visit, SweepGrid* g) {
-  visit("seeds LIST", "base RNG seeds", &g->seeds);
-  visit("kmax LIST", "K_max values", &g->kmax, Above{0});
+  visit("seeds LIST", "base RNG seeds", &g->seeds, Domain{});
+  visit("kmax LIST", "K_max values", &g->kmax, above(0));
   visit("bottleneck-kbps LIST", "bottleneck bandwidths", &g->bottleneck_kbps,
-        Above{0});
-  visit("rtt-ms LIST", "round-trip times", &g->rtt_ms);
-  visit("loss LIST", "Bernoulli wire-loss rates", &g->loss_rate);
-  visit("faults LIST", "random fault counts", &g->faults);
+        above(0));
+  visit("rtt-ms LIST", "round-trip times", &g->rtt_ms, above(0));
+  visit("loss LIST", "Bernoulli wire-loss rates", &g->loss_rate,
+        half_open(0, 1));
+  visit("faults LIST", "random fault counts", &g->faults, at_least(0));
   visit("backends LIST", "QA-flow congestion control", &g->backends);
 }
 
 void visit_farm_flags(FlagVisitor& visit, FarmParams* p) {
   visit("backend NAME", "session congestion control: rap, tfrc, nada",
         &p->backend);
-  visit("seed N", "farm seed", &p->seed);
-  visit("slots N", "concurrent-session capacity", &p->slots);
-  visit("duration-s SECS", "simulated duration", &p->duration, 1.0, Above{0});
+  visit("seed N", "farm seed", &p->seed, Domain{});
+  visit("slots N", "concurrent-session capacity", &p->slots, at_least(1));
+  visit("duration-s SECS", "simulated duration", &p->duration, 1.0, above(0));
   visit("bottleneck-kbps K", "shared bottleneck bandwidth", &p->bottleneck_bw,
-        &Rate::kilobits_per_sec, Above{0});
-  visit("rtt-ms MS", "base round-trip propagation", &p->rtt, 1000.0);
-  visit("layers N", "stream layers", &p->stream_layers, Above{0});
+        &Rate::kilobits_per_sec, above(0));
+  visit("rtt-ms MS", "base round-trip propagation", &p->rtt, 1000.0,
+        above(0));
+  visit("layers N", "stream layers", &p->stream_layers, above(0));
   visit("layer-rate BPS", "per-layer consumption C", &p->layer_rate,
-        &Rate::bytes_per_sec, Above{0});
-  visit("packet-size B", "data packet size", &p->packet_size);
-  visit("arrival-rate HZ", "Poisson arrival rate", &p->arrival_rate_hz);
+        &Rate::bytes_per_sec, above(0));
+  visit("packet-size B", "data packet size", &p->packet_size, above(0));
+  visit("arrival-rate HZ", "Poisson arrival rate", &p->arrival_rate_hz,
+        above(0));
   visit("mean-session-s SECS", "mean exponential session lifetime",
-        &p->mean_session, 1.0);
+        &p->mean_session, 1.0, above(0));
   visit("flash-crowd-at SECS", "flash-crowd instant, <0 disables",
-        &p->flash_crowd_at, 1.0);
+        &p->flash_crowd_at, 1.0, Domain{});
   visit("flash-crowd-n N", "arrivals in the flash crowd",
-        &p->flash_crowd_arrivals);
+        &p->flash_crowd_arrivals, at_least(0));
   visit("mass-departure-at SECS", "mass-departure instant, <0 disables",
-        &p->mass_departure_at, 1.0);
+        &p->mass_departure_at, 1.0, Domain{});
   visit("mass-departure-frac F", "fraction of active sessions departing",
-        &p->mass_departure_fraction);
+        &p->mass_departure_fraction, closed(0, 1));
   visit("outage-at SECS", "bottleneck outage start, <0 disables",
-        &p->outage_at, 1.0);
-  visit("outage-s SECS", "outage duration", &p->outage, 1.0);
-  visit("sample-dt SECS", "aggregate sample period", &p->sample_dt, 1.0);
+        &p->outage_at, 1.0, Domain{});
+  visit("outage-s SECS", "outage duration", &p->outage, 1.0, at_least(0));
+  visit("sample-dt SECS", "aggregate sample period", &p->sample_dt, 1.0,
+        above(0));
 }
 
 }  // namespace
@@ -322,7 +359,9 @@ std::string farm_flags_usage(FarmParams defaults) {
 FlightRecFlags flightrec_flags(const Flags& flags) {
   FlightRecFlags f;
   f.enabled = flags.get_bool("flightrec", true);
-  f.events = static_cast<size_t>(flags.get_int("flightrec-events", 1024));
+  const int64_t events = flags.get_int("flightrec-events", 1024);
+  f.events = static_cast<size_t>(
+      checked("flightrec-events", events, at_least(1)));
   return f;
 }
 

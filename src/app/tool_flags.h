@@ -5,13 +5,14 @@
 // Each reader takes the tool's preset as its defaults: a field whose flag
 // is absent keeps the preset's value bit for bit, and the matching
 // *_usage() prints one line per flag with the default taken from the same
-// preset. A bad enumerated value (--backend, --allocation, --preset,
-// --backends) throws std::invalid_argument carrying the invalid_choice()
-// message; a malformed --shard throws one naming the I/K form; a
-// --duration-s, --kmax, --layers, --layer-rate or --bottleneck-kbps value
-// that is not finite and > 0 throws one naming the flag, range and value.
-// A reader leaves every flag it does not own unread, so
-// exit_on_unknown_flags() reports what the chosen mode ignores.
+// preset. Every reader throws std::invalid_argument on bad input: a bad
+// enumerated value (--backend, --allocation, --preset, --backends) carries
+// the invalid_choice() message; a malformed --shard names the I/K form; a
+// number that does not parse in full names the flag and the text
+// (parse_number); and a number outside its flag's domain (--rtt-ms 0,
+// --rap-flows 0, --loss 1, ...) names the flag, range and value. A reader
+// leaves every flag it does not own unread, so exit_on_unknown_flags()
+// reports what the chosen mode ignores.
 #pragma once
 
 #include <cstddef>

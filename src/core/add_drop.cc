@@ -47,11 +47,6 @@ bool should_add_layer(const std::vector<double>& layer_buf, int active_layers,
   return true;
 }
 
-int drop_decision(double rate_post_backoff, int active_layers,
-                  double total_buf, const AimdModel& model) {
-  return layers_to_keep(rate_post_backoff, active_layers, total_buf, model);
-}
-
 bool draining_buffers_sufficient(double rate, int active_layers,
                                  double total_buf, const AimdModel& model) {
   const double consumption =

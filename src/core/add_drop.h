@@ -28,15 +28,9 @@ bool should_add_layer(const std::vector<double>& layer_buf, int active_layers,
                       double rate, const AimdModel& model,
                       const AddDropConfig& cfg);
 
-// Post-backoff / critical-situation drop decision (§2.2): number of layers
-// to KEEP given the post-backoff rate and aggregate buffering. Equal to
-// active_layers when no drop is needed; never below 1.
-int drop_decision(double rate_post_backoff, int active_layers,
-                  double total_buf, const AimdModel& model);
-
 // Mid-drain critical check: with current rate below consumption, is the
 // buffering still sufficient to finish the draining phase? False signals a
-// critical situation (§2.2) and the caller should apply drop_decision.
+// critical situation (§2.2) and the caller should apply layers_to_keep.
 bool draining_buffers_sufficient(double rate, int active_layers,
                                  double total_buf, const AimdModel& model);
 

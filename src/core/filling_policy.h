@@ -54,6 +54,6 @@ FillDecision pick_fill_layer(const std::vector<double>& layer_buf,
                              const AimdModel& model, int kmax,
                              AllocationPolicy policy = AllocationPolicy::kOptimal,
                              int prepare_layers = 0,
-                             int ladder_depth = 8);
+                             int ladder_depth = 0);
 
 }  // namespace qa::core

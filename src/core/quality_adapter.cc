@@ -91,18 +91,13 @@ bool QualityAdapter::apply_drops(TimePoint now, double rate,
 
   if (rate < consumption) {
     // §2.2 rule / critical situation: shed layers until the remaining
-    // consumption is bridgeable with the buffered bytes. The survivability
-    // test is per-layer (a layer drains at most at C), so a drop with a
-    // sufficient aggregate but an unusable profile is exactly a
-    // poor-distribution drop (Table 2's numerator).
-    const auto keepable = [&](int n, const std::vector<double>& bufs) {
-      double total = 0;
-      for (double b : bufs) total += b;
-      return cfg_.drop_rule == DropRule::kProfile
-                 ? layers_sustainable(rate, n, bufs, m)
-                 : layers_to_keep(rate, n, total, m);
+    // consumption is bridgeable with the buffered bytes (keep the largest
+    // n with n*C <= R + sqrt(2*S*total)).
+    const auto keepable = [&] {
+      return layers_to_keep(rate, receiver_.active_layers(),
+                            receiver_.total_buffer(), m);
     };
-    int keep = keepable(na, receiver_.buffers());
+    int keep = keepable();
     while (receiver_.active_layers() > keep) {
       const int cur = receiver_.active_layers();
       const double required = triangle_area(
@@ -112,7 +107,7 @@ bool QualityAdapter::apply_drops(TimePoint now, double rate,
       dropped = true;
       // Re-evaluate: dropping released that layer's buffered bytes from the
       // protection pool, so the rule can ask for another drop.
-      keep = keepable(receiver_.active_layers(), receiver_.buffers());
+      keep = keepable();
     }
 
     // Material starvation with sufficient total buffering: only the

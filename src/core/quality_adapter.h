@@ -34,16 +34,6 @@
 
 namespace qa::core {
 
-// Which drop trigger the adapter uses after a backoff / in a critical
-// situation (§2.2).
-enum class DropRule {
-  // The paper's aggregate rule: drop while n_a*C > R + sqrt(2*S*total).
-  kAggregate = 0,
-  // Extension: exact per-layer survivability (band-profile majorization);
-  // fires earlier when the distribution, not the amount, is the problem.
-  kProfile = 1,
-};
-
 struct AdapterConfig {
   double consumption_rate = 10'000;  // C: bytes/s per layer
   int max_layers = 10;               // layers available in the stream
@@ -59,7 +49,6 @@ struct AdapterConfig {
   // buffering at the Kmax requirement — footnote 2 — and the transport
   // pads or idles the excess). 0 disables.
   int surplus_ladder_depth = 0;
-  DropRule drop_rule = DropRule::kAggregate;
   // Time constant of the conservative rate estimate used for buffer
   // targets and the add gate: targets are evaluated at min(instantaneous,
   // EWMA) so a momentary sawtooth peak cannot shrink the protection

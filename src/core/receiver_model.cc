@@ -145,11 +145,6 @@ int ReceiverModel::take_starving(double threshold_bytes) {
   return starving;
 }
 
-double ReceiverModel::missed_bytes(int layer) const {
-  QA_CHECK(layer >= 0 && layer < static_cast<int>(layers_.size()));
-  return layers_[static_cast<size_t>(layer)].missed;
-}
-
 std::vector<int> ReceiverModel::take_underflows() {
   std::vector<int> out;
   for (int i = 0; i < static_cast<int>(layers_.size()); ++i) {

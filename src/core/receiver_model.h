@@ -70,7 +70,6 @@ class ReceiverModel {
   // of active layers whose missed balance is at least `threshold_bytes`
   // and resets those balances.
   int take_starving(double threshold_bytes);
-  double missed_bytes(int layer) const;
   // Cumulative time the base layer spent consuming from an empty buffer —
   // i.e. playback stall time.
   TimeDelta base_stall_time() const { return base_stall_; }

@@ -46,10 +46,6 @@ struct Packet {
   TimePoint ts_sent;
   TimePoint ts_echo;
 
-  // Set by loss models / queues for tracing (the packet object is still
-  // delivered to probes when dropped).
-  bool dropped = false;
-
   // Journey-tracing id stamped by the source (util/journey.h); 0 means
   // untraced, and every record site skips the packet.
   uint64_t journey_id = 0;

@@ -16,7 +16,7 @@ bool DropTailQueue::enqueue(const Packet& p) {
   const bool over_bytes = bytes_ + p.size_bytes > capacity_bytes_;
   const bool over_pkts = capacity_packets_ > 0 && q_.size() >= capacity_packets_;
   if (over_bytes || over_pkts) {
-    report_drop(p);
+    count_drop();
     return false;
   }
   q_.push_back(p);
@@ -70,7 +70,7 @@ bool RedQueue::enqueue(const Packet& p) {
 
   if (drop) {
     count_since_drop_ = 0;
-    report_drop(p);
+    count_drop();
     return false;
   }
   q_.push_back(p);

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 
 #include "sim/packet.h"
@@ -16,15 +15,12 @@
 
 namespace qa::sim {
 
-// Observer invoked with every packet the queue drops (tail drop or RED).
-using DropHandler = std::function<void(const Packet&)>;
-
 class PacketQueue {
  public:
   virtual ~PacketQueue() = default;
 
-  // Attempts to enqueue; returns false (and reports the drop) when the
-  // packet was discarded.
+  // Attempts to enqueue; returns false (and counts the drop) when the
+  // packet was discarded. Link::on_queue_drop() reports which packet.
   virtual bool enqueue(const Packet& p) = 0;
   // Removes and returns the head. Precondition: !empty().
   virtual Packet dequeue() = 0;
@@ -33,21 +29,12 @@ class PacketQueue {
   virtual size_t packets() const = 0;
   virtual int64_t bytes() const = 0;
 
-  void set_drop_handler(DropHandler h) { on_drop_ = std::move(h); }
-
   int64_t total_drops() const { return drops_; }
   int64_t total_enqueued() const { return enqueued_; }
   int64_t total_dequeued() const { return dequeued_; }
 
  protected:
-  void report_drop(const Packet& p) {
-    ++drops_;
-    if (on_drop_) {
-      Packet copy = p;
-      copy.dropped = true;
-      on_drop_(copy);
-    }
-  }
+  void count_drop() { ++drops_; }
   void count_enqueue() { ++enqueued_; }
   void count_dequeue() { ++dequeued_; }
 
@@ -65,7 +52,6 @@ class PacketQueue {
   }
 
  private:
-  DropHandler on_drop_;
   int64_t drops_ = 0;
   int64_t enqueued_ = 0;
   int64_t dequeued_ = 0;

@@ -1,7 +1,9 @@
 #include "util/flags.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace qa {
 
@@ -47,12 +49,12 @@ std::string Flags::get_or(const std::string& name,
 
 double Flags::get_double(const std::string& name, double def) const {
   const auto v = get(name);
-  return v && !v->empty() ? std::strtod(v->c_str(), nullptr) : def;
+  return v ? parse_number<double>(name, *v) : def;
 }
 
 int64_t Flags::get_int(const std::string& name, int64_t def) const {
   const auto v = get(name);
-  return v && !v->empty() ? std::strtoll(v->c_str(), nullptr, 10) : def;
+  return v ? parse_number<int64_t>(name, *v) : def;
 }
 
 bool Flags::get_bool(const std::string& name, bool def) const {
@@ -84,6 +86,26 @@ void exit_on_unknown_flags(const Flags& flags, void (*usage)(), int status) {
   usage();
   std::exit(status);
 }
+
+template <typename T>
+T parse_number(std::string_view flag, std::string_view text) {
+  const auto fail = [&](const char* what) {
+    return std::invalid_argument("--" + std::string(flag) + ": " + what +
+                                 " '" + std::string(text) + "'");
+  };
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec == std::errc::result_out_of_range) throw fail("out of range:");
+  if (ec != std::errc()) throw fail("not a number:");
+  if (ptr != end) throw fail("trailing characters in");
+  return v;
+}
+
+template double parse_number<double>(std::string_view, std::string_view);
+template int parse_number<int>(std::string_view, std::string_view);
+template int64_t parse_number<int64_t>(std::string_view, std::string_view);
+template uint64_t parse_number<uint64_t>(std::string_view, std::string_view);
 
 std::string invalid_choice(const std::string& flag, const std::string& got,
                            const std::vector<std::string>& valid) {

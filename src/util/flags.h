@@ -2,12 +2,16 @@
 //
 // Supports --key=value and --key value forms plus boolean switches
 // (--flag / --no-flag). Unknown flags are collected as errors so tools can
-// print usage instead of silently ignoring typos.
+// print usage instead of silently ignoring typos. A number must parse in
+// full: get_int/get_double throw std::invalid_argument on "2.7x" rather
+// than reading 2.7.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qa {
@@ -21,6 +25,7 @@ class Flags {
   bool has(const std::string& name) const;
   std::optional<std::string> get(const std::string& name) const;
   std::string get_or(const std::string& name, const std::string& def) const;
+  // The flag's value read by parse_number(), or `def` when it is absent.
   double get_double(const std::string& name, double def) const;
   int64_t get_int(const std::string& name, int64_t def) const;
   // True for --name, false for --no-name, `def` otherwise.
@@ -36,6 +41,12 @@ class Flags {
   mutable std::map<std::string, bool> queried_;
   std::vector<std::string> positional_;
 };
+
+// The one strict number reader: all of `text` must be a T (double, int,
+// int64_t or uint64_t). Throws std::invalid_argument naming `flag` and the
+// text otherwise: "--kmax: trailing characters in '2.7x'".
+template <typename T>
+T parse_number(std::string_view flag, std::string_view text);
 
 // The typo gate every tool runs after its last read: prints "unknown flag
 // --NAME" to stderr for each flag nothing read, then `usage()`, and exits

@@ -26,10 +26,6 @@ void RunManifest::set_int(std::string_view key, int64_t value) {
   set_raw(key, json_number(value));
 }
 
-void RunManifest::set_bool(std::string_view key, bool value) {
-  set_raw(key, value ? "true" : "false");
-}
-
 void RunManifest::set_args(int argc, char** argv) {
   std::string arr = "[";
   for (int i = 0; i < argc; ++i) {

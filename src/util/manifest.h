@@ -23,7 +23,6 @@ class RunManifest {
   void set(std::string_view key, std::string_view value);  // JSON string
   void set_number(std::string_view key, double value);
   void set_int(std::string_view key, int64_t value);
-  void set_bool(std::string_view key, bool value);
 
   // Records the full command line under "argv" as a JSON string array.
   void set_args(int argc, char** argv);

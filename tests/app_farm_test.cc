@@ -142,6 +142,37 @@ TEST(Farm, RegistryExportSizeIsIndependentOfChurnVolume) {
   EXPECT_GT(big_reg.size(), 0u);
 }
 
+// The farm.tail.* rows are exact percentiles over every session that
+// joined: each admitted session retires exactly once (at departure, shed
+// or run end), and the per-class counts partition the farm-wide count.
+TEST(Farm, TailRowsCoverEveryAdmittedSession) {
+  MetricsRegistry reg;
+  FarmParams p = FarmParams::preset("smoke");
+  p.registry = &reg;
+  run_farm(p);
+
+  const auto gauge = [&reg](const std::string& name) {
+    return reg.gauge(name).value();
+  };
+  const double admitted =
+      static_cast<double>(reg.counter("farm.admitted").value() +
+                          reg.counter("farm.admitted_base_only").value());
+  ASSERT_GT(admitted, 0);
+  for (const std::string base :
+       {"farm.tail.rebuffer_s", "farm.tail.goodput_Bps"}) {
+    const double count = gauge(base + ".count");
+    double class_sum = 0;
+    const size_t classes = sim::FarmTopoParams{}.classes.size();
+    for (size_t c = 0; c < classes; ++c) {
+      class_sum += gauge(base + ".class" + std::to_string(c) + ".count");
+    }
+    EXPECT_EQ(class_sum, count) << base;
+    EXPECT_LE(gauge(base + ".p50"), gauge(base + ".p95")) << base;
+    EXPECT_LE(gauge(base + ".p95"), gauge(base + ".p99")) << base;
+  }
+  EXPECT_EQ(gauge("farm.tail.rebuffer_s.count"), admitted);
+}
+
 TEST(Farm, SeriesCsvRoundTrips) {
   const FarmResult r = run_farm(smoke_params(3));
   const std::string path = "farm_test_series.csv";

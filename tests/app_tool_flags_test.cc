@@ -428,10 +428,11 @@ TEST(SweepFlags, AxisListsParseStrictly) {
   };
   EXPECT_EQ(read("--kmax=1,2,3").kmax, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(read("--seeds=7").seeds, (std::vector<uint64_t>{7}));
-  EXPECT_EQ(read("--loss=0.5,1e3").loss_rate,
-            (std::vector<double>{0.5, 1000.0}));
-  for (const std::string bad :
-       {"--kmax=", "--kmax=1,,2", "--kmax=1,x", "--rtt-ms=1.5mm"}) {
+  EXPECT_EQ(read("--loss=0.5,1e-3").loss_rate,
+            (std::vector<double>{0.5, 0.001}));
+  for (const std::string bad : {"--kmax=", "--kmax=1,,2", "--kmax=1,x",
+                                "--kmax=1.5", "--rtt-ms=1.5mm",
+                                "--seeds=-1"}) {
     EXPECT_THROW(read(bad), std::invalid_argument) << bad;
   }
 }
@@ -526,6 +527,53 @@ TEST(ToolFlags, OutOfDomainNumbersGiveTheRangeMessage) {
             "--bottleneck-kbps must be finite and > 0 (got -1)");
   EXPECT_EQ(error_of({"--layers", "0"}, sweep),
             "--layers must be > 0 (got 0)");
+  // Each of these once reached a library QA_CHECK and aborted.
+  EXPECT_EQ(error_of({"--rtt-ms", "0"}, experiment),
+            "--rtt-ms must be finite and > 0 (got 0)");
+  EXPECT_EQ(error_of({"--rtt-ms", "nan"}, farm),
+            "--rtt-ms must be finite and > 0 (got nan)");
+  EXPECT_EQ(error_of({"--rtt-ms", "40,0"}, sweep),
+            "--rtt-ms must be finite and > 0 (got 0)");
+  EXPECT_EQ(error_of({"--packet-size", "0"}, experiment),
+            "--packet-size must be > 0 (got 0)");
+  EXPECT_EQ(error_of({"--packet-size", "0"}, farm),
+            "--packet-size must be > 0 (got 0)");
+  EXPECT_EQ(error_of({"--rap-flows", "0"}, experiment),
+            "--rap-flows must be >= 1 (got 0)");
+  EXPECT_EQ(error_of({"--tcp-flows", "-1"}, experiment),
+            "--tcp-flows must be >= 0 (got -1)");
+  EXPECT_EQ(error_of({"--loss", "0,1"}, sweep),
+            "--loss must be finite and in [0, 1) (got 1)");
+  EXPECT_EQ(error_of({"--mass-departure-frac", "1.5"}, farm),
+            "--mass-departure-frac must be finite and in [0, 1] (got 1.5)");
+  EXPECT_EQ(error_of({"--flash-crowd-at", "inf"}, farm),
+            "--flash-crowd-at must be finite (got inf)");
+  EXPECT_EQ(error_of({"--arrival-rate", "0"}, farm),
+            "--arrival-rate must be finite and > 0 (got 0)");
+}
+
+// A scalar must parse in full, like a list element: "2.7x" is an error,
+// not kmax 2, and "1e3" is no integer.
+TEST(ToolFlags, ScalarsParseStrictly) {
+  const auto experiment = [](const Flags& f) {
+    ExperimentParams p;
+    read_experiment_flags(f, &p);
+  };
+  EXPECT_EQ(error_of({"--kmax", "2.7x"}, experiment),
+            "--kmax: trailing characters in '2.7x'");
+  EXPECT_EQ(error_of({"--rap-flows", "1e3"}, experiment),
+            "--rap-flows: trailing characters in '1e3'");
+  EXPECT_EQ(error_of({"--duration-s", "5s"}, experiment),
+            "--duration-s: trailing characters in '5s'");
+  EXPECT_EQ(error_of({"--rtt-ms=abc"}, experiment),
+            "--rtt-ms: not a number: 'abc'");
+  EXPECT_EQ(error_of({"--seed="}, experiment), "--seed: not a number: ''");
+  EXPECT_EQ(error_of({"--kmax", "99999999999"}, experiment),
+            "--kmax: out of range: '99999999999'");
+  ExperimentParams p;
+  read_experiment_flags(make({"--duration-s", "1e1", "--seed", "7"}), &p);
+  EXPECT_EQ(p.duration_sec, 10);
+  EXPECT_EQ(p.seed, 7u);
 }
 
 // ---- Usage lines carry the preset's defaults --------------------------------

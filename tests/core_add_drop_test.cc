@@ -76,10 +76,10 @@ TEST(ShouldAddLayer, DistributionMattersNotJustTotal) {
   EXPECT_FALSE(should_add_layer(skewed, na, rate, kModel, cfg));
 }
 
-TEST(DropDecision, MatchesLayersToKeep) {
-  EXPECT_EQ(drop_decision(10'000, 3, 2'500, kModel), 2);
-  EXPECT_EQ(drop_decision(10'000, 3, 1'000'000, kModel), 3);
-  EXPECT_EQ(drop_decision(0, 5, 0, kModel), 1);
+TEST(LayersToKeep, KeepsWhatTheBufferCanBridge) {
+  EXPECT_EQ(layers_to_keep(10'000, 3, 2'500, kModel), 2);
+  EXPECT_EQ(layers_to_keep(10'000, 3, 1'000'000, kModel), 3);
+  EXPECT_EQ(layers_to_keep(0, 5, 0, kModel), 1);
 }
 
 TEST(DrainingBuffersSufficient, TrueWhenNotDraining) {

@@ -244,7 +244,7 @@ TEST_P(BufferMathProperty, ClusteredNeedsNoLessThanSpreadFirstTriangle) {
   }
 }
 
-TEST_P(BufferMathProperty, DropRuleKeepsRecoverableSet) {
+TEST_P(BufferMathProperty, LayersToKeepKeepsRecoverableSet) {
   Rng rng(static_cast<uint64_t>(GetParam()) + 3000);
   for (int trial = 0; trial < 200; ++trial) {
     const double c = rng.uniform(1'000, 50'000);

@@ -100,27 +100,6 @@ TEST(AdapterBaseProtection, BaseFedFirstWhenNearlyEmpty) {
   EXPECT_EQ(adapter.receiver().base_stall_time(), TimeDelta::zero());
 }
 
-TEST(AdapterDropRule, ProfileRuleDropsEarlierThanAggregate) {
-  // Construct identical adapters differing only in drop rule; give them a
-  // base-heavy buffer state by filling at low layer count, then add layers
-  // and collapse. The profile rule must shed at least as many layers.
-  auto run = [](DropRule rule) {
-    AdapterConfig cfg = make_config(2, 4);
-    cfg.drop_rule = rule;
-    QualityAdapter adapter(cfg);
-    adapter.begin(TimePoint::origin());
-    double t = drive(adapter, 0.0, 50'000, 8.0);
-    adapter.on_backoff(TimePoint::from_sec(t), 9'000, kSlope);
-    const double gap = kPkt / 9'000;
-    for (double w = 0; w < 0.5; w += gap) {
-      adapter.on_send_opportunity(TimePoint::from_sec(t + w), 9'000, kSlope,
-                                  kPkt);
-    }
-    return adapter.active_layers();
-  };
-  EXPECT_LE(run(DropRule::kProfile), run(DropRule::kAggregate));
-}
-
 TEST(AdapterRateSmoothing, PeakDoesNotShrinkTargets) {
   // Hold a low rate, then spike for a moment: the add gate must not fire
   // on the instantaneous peak (the smoothed target rate is still low and

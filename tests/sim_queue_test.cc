@@ -54,19 +54,13 @@ TEST(DropTailQueue, CapacityFreedByDequeue) {
   EXPECT_TRUE(q.enqueue(make_packet(100, 4)));
 }
 
-TEST(DropTailQueue, DropHandlerSeesDroppedPacket) {
+TEST(DropTailQueue, TotalDropsCountsTheRejectedPacket) {
   DropTailQueue q(100);
-  Packet seen;
-  int calls = 0;
-  q.set_drop_handler([&](const Packet& p) {
-    seen = p;
-    ++calls;
-  });
-  q.enqueue(make_packet(100, 1));
-  q.enqueue(make_packet(100, 42));
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(seen.seq, 42);
-  EXPECT_TRUE(seen.dropped);
+  EXPECT_TRUE(q.enqueue(make_packet(100, 1)));
+  EXPECT_FALSE(q.enqueue(make_packet(100, 42)));
+  EXPECT_EQ(q.total_drops(), 1);
+  EXPECT_EQ(q.total_enqueued(), 1);
+  EXPECT_EQ(q.dequeue().seq, 1);
 }
 
 TEST(DropTailQueue, CountsEnqueues) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace qa {
 namespace {
 
@@ -58,6 +60,27 @@ TEST(Flags, UnusedDetectsTypos) {
   const auto unused = f.unused();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "tyop");
+}
+
+// A number must parse in full; the error names the flag and the text.
+TEST(Flags, NumbersParseStrictly) {
+  const Flags f = make({"--kmax=2.7x", "--rate=1.5", "--n=12", "--empty="});
+  EXPECT_THROW(f.get_int("kmax", 0), std::invalid_argument);
+  EXPECT_THROW(f.get_double("kmax", 0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(f.get_double("rate", 0), 1.5);
+  EXPECT_THROW(f.get_int("rate", 0), std::invalid_argument);
+  EXPECT_EQ(f.get_int("n", 0), 12);
+  EXPECT_THROW(f.get_int("empty", 3), std::invalid_argument);
+  try {
+    f.get_int("kmax", 0);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--kmax: trailing characters in '2.7x'");
+  }
+  EXPECT_EQ(parse_number<uint64_t>("seed", "18446744073709551615"),
+            18446744073709551615u);
+  EXPECT_THROW(parse_number<uint64_t>("seed", "-1"), std::invalid_argument);
+  EXPECT_THROW(parse_number<int>("kmax", "4294967297"),
+               std::invalid_argument);
 }
 
 TEST(Flags, HasMarksQueried) {

@@ -55,15 +55,16 @@ int main(int argc, char** argv) {
   }
 
   FarmParams p = FarmParams::preset("smoke");
+  FlightRecFlags fr;
   try {
     read_farm_flags(flags, &p);
+    fr = flightrec_flags(flags);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "qa_farm: %s\n", e.what());
     return 1;
   }
   const bool print_digest = flags.get_bool("print-digest", false);
   const bool want_trace = flags.get_bool("trace", false);
-  const FlightRecFlags fr = flightrec_flags(flags);
   const std::string out_dir = flags.get_or("out-dir", "");
   exit_on_unknown_flags(flags, usage);
 

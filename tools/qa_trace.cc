@@ -51,13 +51,14 @@ int main(int argc, char** argv) {
 
   const std::string out_dir = flags.get_or("out-dir", "");
   ExperimentParams params = ExperimentParams::fig2();
+  ObservabilityConfig ocfg;
   try {
     read_experiment_flags(flags, &params);
+    ocfg = observability_flags(flags, out_dir);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "qa_trace: %s\n", e.what());
     return 1;
   }
-  const ObservabilityConfig ocfg = observability_flags(flags, out_dir);
   exit_on_unknown_flags(flags, usage);
   if (out_dir.empty()) {
     std::fprintf(stderr, "qa_trace: --out-dir is required\n");
