@@ -21,12 +21,12 @@
 #include "app/experiment.h"
 #include "app/session.h"
 #include "bench_util.h"
+#include "cc/ack_sink.h"
+#include "cc/rap_source.h"
 #include "core/baseline_policies.h"
 #include "core/buffer_math.h"
 #include "core/nonlinear.h"
 #include "core/state_sequence.h"
-#include "rap/rap_sink.h"
-#include "rap/rap_source.h"
 #include "sim/network.h"
 #include "sim/topology.h"
 #include "tcp/tcp_sink.h"
@@ -155,7 +155,7 @@ void fig01() {
   params.packet_size = 500;
   params.initial_rate = Rate::kilobytes_per_sec(4);
   const auto [src, sink] =
-      add_flow<rap::RapSource, rap::RapSink>(net, d, 0, params);
+      add_flow<cc::RapSource, cc::AckSink>(net, d, 0, params);
 
   // Sample the instantaneous rate every 100 ms over the fig-1 window.
   TimeSeries rate_series;
@@ -1080,7 +1080,7 @@ MixResult run_mix(int rap_flows, int tcp_flows, bool qa_on_first,
   sim::Dumbbell d = sim::build_dumbbell(net, topo);
 
   Rng rng(5);
-  std::vector<rap::RapSink*> rap_sinks;
+  std::vector<cc::AckSink*> rap_sinks;
   std::vector<tcp::TcpSink*> tcp_sinks;
   std::unique_ptr<Session> session;
 
@@ -1092,7 +1092,7 @@ MixResult run_mix(int rap_flows, int tcp_flows, bool qa_on_first,
       cfg.cc.packet_size = 250;
       cfg.cc.initial_rate = Rate::bytes_per_sec(1'250);
       session = std::make_unique<Session>(net, d.left[0], d.right[0], cfg);
-      rap_sinks.push_back(&session->rap_sink());
+      rap_sinks.push_back(&session->ack_sink());
       continue;
     }
     cc::CcParams rp;
@@ -1100,7 +1100,7 @@ MixResult run_mix(int rap_flows, int tcp_flows, bool qa_on_first,
     rp.initial_rate = Rate::bytes_per_sec(1'250);
     rp.start_time = TimePoint::from_sec(rng.uniform(0.0, 1.0));
     rap_sinks.push_back(
-        add_flow<rap::RapSource, rap::RapSink>(net, d, i, rp).second);
+        add_flow<cc::RapSource, cc::AckSink>(net, d, i, rp).second);
   }
   for (int i = 0; i < tcp_flows; ++i) {
     tcp::TcpParams tp;

@@ -6,6 +6,8 @@
 
 #include "app/observability.h"
 #include "cbr/cbr.h"
+#include "cc/ack_sink.h"
+#include "cc/rap_source.h"
 #include "sim/fault.h"
 #include "sim/loss_model.h"
 #include "sim/topology.h"
@@ -113,7 +115,7 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
   }
 
   // --- Competing plain RAP flows (pairs 1..rap_flows-1). -----------------
-  std::vector<rap::RapSource*> rap_competitors;
+  std::vector<cc::RapSource*> rap_competitors;
   for (int i = 1; i < params.rap_flows; ++i) {
     cc::CcParams rp;
     rp.packet_size = params.packet_size;
@@ -124,11 +126,11 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
     const sim::FlowId flow = net.allocate_flow_id();
     auto* src = net.adopt_agent(
         d.left[i], flow,
-        std::make_unique<rap::RapSource>(&net.scheduler(), d.left[i],
-                                         d.right[i]->id(), flow, rp));
+        std::make_unique<cc::RapSource>(&net.scheduler(), d.left[i],
+                                        d.right[i]->id(), flow, rp));
     net.adopt_agent(d.right[i], flow,
-                    std::make_unique<rap::RapSink>(&net.scheduler(),
-                                                   d.right[i]));
+                    std::make_unique<cc::AckSink>(&net.scheduler(),
+                                                  d.right[i]));
     rap_competitors.push_back(src);
   }
 

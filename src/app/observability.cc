@@ -58,13 +58,13 @@ void Observability::attach_scheduler(sim::Scheduler& sched) {
   }
   if (trace_) {
     // One B/E span per executed handler. Handlers are instantaneous in
-    // simulated time, so both halves share the event's sim time and the
-    // measured wall cost rides as an argument.
+    // simulated time, so both halves share the event's sim time; the spans
+    // carry no wall-clock bytes (per-category wall time stays in the
+    // profiler and its scheduler.*.wall_ms rows).
     subs_.push_back(sched.on_dispatch().subscribe_scoped(
         [this](const sim::DispatchRecord& rec) {
           trace_->span_begin(rec.at, ChromeTraceWriter::kSchedulerTrack,
-                             sim::event_category_name(rec.category),
-                             {{"wall_ns", rec.wall_ns}});
+                             sim::event_category_name(rec.category));
           trace_->span_end(rec.at, ChromeTraceWriter::kSchedulerTrack);
         }));
   }
@@ -154,8 +154,10 @@ void Observability::attach_controller(cc::CongestionController& src) {
                           {{"rate_post", r.bps()}});
         }
       }));
-  subs_.push_back(src.on_timeout_loss().subscribe_scoped(
-      [this, &timeout_losses](TimePoint t, const sim::Packet& p) {
+  subs_.push_back(src.on_loss().subscribe_scoped(
+      [this, &timeout_losses](TimePoint t, const sim::Packet& p,
+                              bool timeout) {
+        if (!timeout) return;
         timeout_losses.inc();
         if (trace_) {
           trace_->instant(t, ChromeTraceWriter::kTransportTrack,
@@ -252,7 +254,7 @@ void Observability::attach_session(Session& session) {
   attach_client(session.client());
   if (cfg_.journeys) {
     session.controller().set_journey_recorder(&journeys_);
-    session.rap_sink().set_journey_recorder(&journeys_);
+    session.ack_sink().set_journey_recorder(&journeys_);
     session.client().set_journey_recorder(&journeys_);
   }
 }

@@ -1,6 +1,5 @@
 #include "app/session.h"
 
-#include "app/cc_factory.h"
 #include "core/layered_video.h"
 
 namespace qa::app {
@@ -21,18 +20,18 @@ Session::Session(sim::Network& net, sim::Node* server_host,
     : flow_(net.allocate_flow_id()),
       controller_(net.adopt_agent(
           server_host, flow_,
-          make_controller(cfg.backend, &net.scheduler(), server_host,
-                          client_host->id(), flow_, cfg.cc))),
-      rap_sink_(net.adopt_agent(
+          cc::make_controller(cfg.backend, &net.scheduler(), server_host,
+                              client_host->id(), flow_, cfg.cc))),
+      ack_sink_(net.adopt_agent(
           client_host, flow_,
-          std::make_unique<rap::RapSink>(&net.scheduler(), client_host,
-                                         cfg.cc.ack_size))),
+          std::make_unique<cc::AckSink>(&net.scheduler(), client_host,
+                                        cfg.cc.ack_size))),
       server_(&net.scheduler(), controller_, cfg.adapter, resolve_video(cfg),
               cfg.server),
       client_(&net.scheduler(), cfg.layer_rate.bps(),
               cfg.video != nullptr ? cfg.video->layers() : cfg.stream_layers,
               cfg.adapter.playout_delay, cfg.keep_client_packet_log) {
-  rap_sink_->set_consumer(
+  ack_sink_->set_consumer(
       [this](const sim::Packet& p) { client_.on_data(p); });
 }
 
@@ -40,8 +39,8 @@ void Session::stop() {
   if (stopped_) return;
   stopped_ = true;
   controller_->stop();
-  server_.detach_rap();
-  rap_sink_->set_consumer(nullptr);
+  server_.detach_controller();
+  ack_sink_->set_consumer(nullptr);
 }
 
 Session::~Session() { stop(); }

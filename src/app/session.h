@@ -17,8 +17,8 @@
 
 #include "app/video_client.h"
 #include "app/video_server.h"
-#include "rap/rap_sink.h"
-#include "rap/rap_source.h"
+#include "cc/ack_sink.h"
+#include "cc/congestion_controller.h"
 #include "sim/network.h"
 
 namespace qa::app {
@@ -64,15 +64,15 @@ class Session {
   VideoServer& server() { return server_; }
   VideoClient& client() { return client_; }
   // The session's congestion controller (whatever backend the config
-  // chose), behind the backend-agnostic interface.
+  // chose) and the receiver that acknowledges its packets.
   cc::CongestionController& controller() { return *controller_; }
-  rap::RapSink& rap_sink() { return *rap_sink_; }
+  cc::AckSink& ack_sink() { return *ack_sink_; }
   sim::FlowId flow_id() const { return flow_; }
 
  private:
   sim::FlowId flow_;
   cc::CongestionController* controller_;  // owned by the network
-  rap::RapSink* rap_sink_;                // owned by the network
+  cc::AckSink* ack_sink_;                 // owned by the network
   VideoServer server_;
   VideoClient client_;
   bool stopped_ = false;

@@ -286,6 +286,24 @@ void visit_farm_flags(FlagVisitor& visit, FarmParams* p) {
         above(0));
 }
 
+void visit_chaos_flags(FlagVisitor& visit, ChaosParams* p, int* seeds) {
+  visit("seeds N", "number of seeds to sweep", seeds, at_least(1));
+  visit("first-seed N", "first seed", &p->seed, Domain{});
+  visit("faults N", "faults per schedule", &p->faults, at_least(1));
+  visit("warmup SECS", "clean warmup before faults", &p->warmup, 1.0,
+        at_least(0));
+  visit("window SECS", "fault window length", &p->fault_window, 1.0,
+        above(0));
+  visit("tail SECS", "clean tail after faults", &p->tail, 1.0, above(0));
+  visit("recovery-bound SECS", "max recovery time after window",
+        &p->recovery_bound, 1.0, at_least(0));
+  visit("bottleneck-kbps K", "bottleneck bandwidth", &p->bottleneck,
+        &Rate::kilobits_per_sec, above(0));
+  visit("layers N", "stream layers", &p->stream_layers, above(0));
+  visit("layer-rate BPS", "per-layer consumption C", &p->layer_rate,
+        &Rate::bytes_per_sec, above(0));
+}
+
 }  // namespace
 
 void read_experiment_flags(const Flags& flags, ExperimentParams* params) {
@@ -354,6 +372,17 @@ std::string farm_flags_usage(FarmParams defaults) {
   return usage.text +
          "  --no-admission         disable the admission controller\n"
          "  --no-ladder            disable the load-shedding ladder\n";
+}
+
+void read_chaos_flags(const Flags& flags, ChaosParams* params, int* seeds) {
+  FlagVisitor read(&flags);
+  visit_chaos_flags(read, params, seeds);
+}
+
+std::string chaos_flags_usage(ChaosParams defaults, int seeds) {
+  FlagVisitor usage(nullptr);
+  visit_chaos_flags(usage, &defaults, &seeds);
+  return usage.text;
 }
 
 FlightRecFlags flightrec_flags(const Flags& flags) {

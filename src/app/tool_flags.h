@@ -1,6 +1,6 @@
 // The one command-line reader behind every tool: scenario, sweep-axis,
-// farm and observability flags are read here, once, so a spelling, unit
-// or default cannot drift between binaries.
+// farm, chaos and observability flags are read here, once, so a spelling,
+// unit or default cannot drift between binaries.
 //
 // Each reader takes the tool's preset as its defaults: a field whose flag
 // is absent keeps the preset's value bit for bit, and the matching
@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <string>
 
+#include "app/chaos.h"
 #include "app/experiment.h"
 #include "app/farm.h"
 #include "app/observability.h"
@@ -45,6 +46,12 @@ std::string sweep_flags_usage(SweepGrid defaults);
 // FarmParams::preset(NAME); then every scenario flag qa_farm lists.
 void read_farm_flags(const Flags& flags, FarmParams* params);
 std::string farm_flags_usage(FarmParams defaults);
+
+// A chaos sweep: --seeds N trials of *params, the first with --first-seed
+// (params->seed), then --faults --warmup --window --tail --recovery-bound
+// --bottleneck-kbps --layers --layer-rate.
+void read_chaos_flags(const Flags& flags, ChaosParams* params, int* seeds);
+std::string chaos_flags_usage(ChaosParams defaults, int seeds);
 
 // Flight-recorder subset, for tools (qa_farm) that arm a FlightRecorder
 // directly instead of going through Observability.

@@ -4,12 +4,13 @@
 
 namespace qa::app {
 
-VideoServer::VideoServer(sim::Scheduler* sched, cc::CongestionController* rap,
+VideoServer::VideoServer(sim::Scheduler* sched,
+                         cc::CongestionController* controller,
                          core::AdapterConfig adapter_cfg,
                          std::shared_ptr<const core::LayeredVideo> video,
                          VideoServerOptions options)
     : sched_(sched),
-      rap_(rap),
+      controller_(controller),
       video_(std::move(video)),
       options_(options),
       adapter_([&] {
@@ -22,21 +23,29 @@ VideoServer::VideoServer(sim::Scheduler* sched, cc::CongestionController* rap,
       next_layer_seq_(static_cast<size_t>(video_->layers()), 0),
       layer_bytes_(static_cast<size_t>(video_->layers()), 0),
       window_sent_(static_cast<size_t>(video_->layers()), 0.0) {
-  QA_CHECK(sched_ != nullptr && rap_ != nullptr && video_ != nullptr);
-  rap_->set_payload_tagger([this](sim::Packet& p) { tag_packet(p); });
-  rap_->set_listener(this);
+  QA_CHECK(sched_ != nullptr && controller_ != nullptr && video_ != nullptr);
+  controller_->set_payload_tagger([this](sim::Packet& p) { tag_packet(p); });
+  loss_sub_ = controller_->on_loss().subscribe_scoped(
+      [this](TimePoint t, const sim::Packet& p, bool) { on_loss(t, p); });
+  backoff_sub_ = controller_->on_backoff().subscribe_scoped(
+      [this](TimePoint t, Rate r) { on_backoff(t, r); });
+  quiescence_sub_ = controller_->on_quiescence().subscribe_scoped(
+      [this](TimePoint t, bool active) { on_quiescence(t, active); });
 }
 
-VideoServer::VideoServer(sim::Scheduler* sched, cc::CongestionController* rap,
+VideoServer::VideoServer(sim::Scheduler* sched,
+                         cc::CongestionController* controller,
                          core::AdapterConfig adapter_cfg,
                          core::LayeredVideo video, VideoServerOptions options)
-    : VideoServer(sched, rap, adapter_cfg,
+    : VideoServer(sched, controller, adapter_cfg,
                   std::make_shared<const core::LayeredVideo>(std::move(video)),
                   options) {}
 
-void VideoServer::detach_rap() {
-  rap_->set_payload_tagger(nullptr);
-  rap_->set_listener(nullptr);
+void VideoServer::detach_controller() {
+  controller_->set_payload_tagger(nullptr);
+  loss_sub_.reset();
+  backoff_sub_.reset();
+  quiescence_sub_.reset();
 }
 
 void VideoServer::tag_packet(sim::Packet& p) {
@@ -63,7 +72,7 @@ void VideoServer::tag_packet(sim::Packet& p) {
   }
 
   const int layer = adapter_.on_send_opportunity(
-      now, rap_->rate().bps(), rap_->slope_bps_per_sec(),
+      now, controller_->rate().bps(), controller_->slope_bps_per_sec(),
       static_cast<double>(p.size_bytes));
   if (layer == core::QualityAdapter::kPaddingSlot) {
     // Buffer targets are met and no layer can be added: the slot carries
@@ -81,21 +90,16 @@ void VideoServer::tag_packet(sim::Packet& p) {
       static_cast<double>(p.size_bytes);
 }
 
-void VideoServer::on_ack(const sim::Packet&) {
-  // The sender-side mirror credits at send time; ACKs need no action here.
-  // (RTT/slope bookkeeping lives inside RapSource.)
-}
-
-void VideoServer::on_loss(const sim::Packet& data_pkt) {
+void VideoServer::on_loss(TimePoint now, const sim::Packet& data_pkt) {
   if (data_pkt.layer < 0) return;
-  adapter_.on_packet_lost(sched_->now(), data_pkt.layer,
+  adapter_.on_packet_lost(now, data_pkt.layer,
                           static_cast<double>(data_pkt.size_bytes));
   if (data_pkt.layer < options_.retransmit_below_layer &&
       data_pkt.layer < adapter_.active_layers()) {
     // Worth resending only if the receiver still holds roughly an RTT of
     // that layer's media ahead of the hole; otherwise playout has passed.
     const double lead_needed =
-        adapter_.config().consumption_rate * rap_->srtt().sec();
+        adapter_.config().consumption_rate * controller_->srtt().sec();
     if (adapter_.receiver().buffer(data_pkt.layer) >= lead_needed) {
       retx_queue_.push_back(PendingRetx{data_pkt.layer, data_pkt.layer_seq});
     } else {
@@ -104,18 +108,17 @@ void VideoServer::on_loss(const sim::Packet& data_pkt) {
   }
 }
 
-void VideoServer::on_backoff(Rate new_rate) {
+void VideoServer::on_backoff(TimePoint now, Rate new_rate) {
   if (!begun_) return;
-  adapter_.on_backoff(sched_->now(), new_rate.bps(),
-                      rap_->slope_bps_per_sec());
+  adapter_.on_backoff(now, new_rate.bps(), controller_->slope_bps_per_sec());
 }
 
-void VideoServer::on_quiescence(bool active) {
+void VideoServer::on_quiescence(TimePoint now, bool active) {
   if (!begun_) return;
   if (active) {
-    adapter_.enter_degraded(sched_->now());
+    adapter_.enter_degraded(now);
   } else {
-    adapter_.exit_degraded(sched_->now());
+    adapter_.exit_degraded(now);
   }
 }
 

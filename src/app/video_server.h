@@ -3,14 +3,12 @@
 //
 // The server owns the paper's sender-side machinery: the congestion
 // controller (RAP, TFRC, or NADA — any cc::CongestionController) paces
-// packets and reports ACKs/losses/backoffs; for every transmission slot the
-// server asks the QualityAdapter which layer the packet should carry and
-// tags it with a per-layer sequence number. Everything the adapter needs
-// (rate, slope, losses, backoffs) is forwarded through the backend-agnostic
-// interface; the server never names a concrete backend (DESIGN.md §17).
-//
-// Names: the transport parameter/accessors keep their historic `rap`
-// spelling (the paper's instance) even though any backend plugs in.
+// packets and reports losses/backoffs/quiescence through its events; for
+// every transmission slot the server asks the QualityAdapter which layer
+// the packet should carry and tags it with a per-layer sequence number.
+// Everything the adapter needs (rate, slope, losses, backoffs) comes from
+// the backend-neutral controller; the server never names a concrete
+// backend (DESIGN.md §17).
 #pragma once
 
 #include <deque>
@@ -21,6 +19,7 @@
 #include "core/layered_video.h"
 #include "core/quality_adapter.h"
 #include "sim/scheduler.h"
+#include "util/event.h"
 
 namespace qa::app {
 
@@ -33,37 +32,35 @@ struct VideoServerOptions {
   int retransmit_below_layer = 0;
 };
 
-class VideoServer : public cc::CcListener {
+class VideoServer {
  public:
-  // Wires itself into `rap` (payload tagger + listener). `rap` must outlive
-  // the server. The shared-ownership overload lets churning scenarios reuse
-  // one stream description across hundreds of sessions instead of copying
-  // the name and rate table per session.
-  VideoServer(sim::Scheduler* sched, cc::CongestionController* rap,
+  // Wires itself into `controller`: installs the payload tagger and
+  // subscribes to its loss, backoff and quiescence events. Subscribing here,
+  // before any observer attaches, makes the adapter act on each event
+  // before observability records it. `controller` must outlive the server.
+  // The shared-ownership overload lets churning scenarios reuse one stream
+  // description across hundreds of sessions instead of copying the name
+  // and rate table per session.
+  VideoServer(sim::Scheduler* sched, cc::CongestionController* controller,
               core::AdapterConfig adapter_cfg,
               std::shared_ptr<const core::LayeredVideo> video,
               VideoServerOptions options = {});
-  VideoServer(sim::Scheduler* sched, cc::CongestionController* rap,
+  VideoServer(sim::Scheduler* sched, cc::CongestionController* controller,
               core::AdapterConfig adapter_cfg, core::LayeredVideo video,
               VideoServerOptions options = {});
-
-  // CcListener:
-  void on_ack(const sim::Packet& data_pkt) override;
-  void on_loss(const sim::Packet& data_pkt) override;
-  void on_backoff(Rate new_rate) override;
-  // Client feedback went away (ACK starvation) or returned: the adapter
-  // drops to base-layer-only mode for the duration rather than thrashing
-  // add/drop against a dead control loop.
-  void on_quiescence(bool active) override;
+  // The subscriptions capture `this`.
+  VideoServer(const VideoServer&) = delete;
+  VideoServer& operator=(const VideoServer&) = delete;
 
   core::QualityAdapter& adapter() { return adapter_; }
   const core::QualityAdapter& adapter() const { return adapter_; }
   const core::LayeredVideo& video() const { return *video_; }
-  cc::CongestionController& rap() { return *rap_; }
+  cc::CongestionController& controller() { return *controller_; }
 
-  // Detaches the tagger/listener hooks from the RAP source (session
-  // teardown; the source may outlive this server in churning scenarios).
-  void detach_rap();
+  // Removes the tagger and the event subscriptions from the controller
+  // (session teardown; the controller may outlive this server in churning
+  // scenarios).
+  void detach_controller();
 
   // Bytes sent per layer since the last call (for rate-series probes).
   std::vector<double> take_window_sent();
@@ -76,9 +73,15 @@ class VideoServer : public cc::CcListener {
 
  private:
   void tag_packet(sim::Packet& p);
+  void on_loss(TimePoint now, const sim::Packet& data_pkt);
+  void on_backoff(TimePoint now, Rate new_rate);
+  // Client feedback went away (ACK starvation) or returned: the adapter
+  // drops to base-layer-only mode for the duration rather than thrashing
+  // add/drop against a dead control loop.
+  void on_quiescence(TimePoint now, bool active);
 
   sim::Scheduler* sched_;
-  cc::CongestionController* rap_;
+  cc::CongestionController* controller_;
   std::shared_ptr<const core::LayeredVideo> video_;
   VideoServerOptions options_;
   core::QualityAdapter adapter_;
@@ -94,6 +97,9 @@ class VideoServer : public cc::CcListener {
     int64_t layer_seq;
   };
   std::deque<PendingRetx> retx_queue_;
+  ScopedSubscription loss_sub_;
+  ScopedSubscription backoff_sub_;
+  ScopedSubscription quiescence_sub_;
 };
 
 }  // namespace qa::app

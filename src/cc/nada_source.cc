@@ -101,7 +101,6 @@ void NadaSource::on_step() {
   }
   target = std::min(target, params_.max_rate.bps());
   set_rate(Rate::bytes_per_sec(target));
-  if (rate_.bps() > old_bps && listener_) listener_->on_rate_increase(rate_);
 }
 
 void NadaSource::on_congestion() {

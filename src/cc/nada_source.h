@@ -22,15 +22,15 @@
 // must survive (tests/cc_conformance_test.cc; DESIGN.md §17).
 #pragma once
 
-#include "cc/cc_source.h"
+#include "cc/congestion_controller.h"
 
 namespace qa::cc {
 
-class NadaSource : public CcSource {
+class NadaSource : public CongestionController {
  public:
   NadaSource(sim::Scheduler* sched, sim::Node* local, sim::NodeId peer,
              sim::FlowId flow, CcParams params)
-      : CcSource(sched, local, peer, flow, params) {}
+      : CongestionController(sched, local, peer, flow, params) {}
 
   // Bounded by the ramp-up gamma: at most gamma_max per delta, which stays
   // under the one-packet-per-RTT-per-RTT envelope the QA buffer math uses.

@@ -97,7 +97,6 @@ void TfrcSource::on_step() {
   }
   target = std::min(target, params_.max_rate.bps());
   set_rate(Rate::bytes_per_sec(target));
-  if (rate_.bps() > old_bps && listener_) listener_->on_rate_increase(rate_);
 }
 
 void TfrcSource::on_congestion() {

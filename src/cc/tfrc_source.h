@@ -26,15 +26,15 @@
 
 #include <deque>
 
-#include "cc/cc_source.h"
+#include "cc/congestion_controller.h"
 
 namespace qa::cc {
 
-class TfrcSource : public CcSource {
+class TfrcSource : public CongestionController {
  public:
   TfrcSource(sim::Scheduler* sched, sim::Node* local, sim::NodeId peer,
              sim::FlowId flow, CcParams params)
-      : CcSource(sched, local, peer, flow, params) {}
+      : CongestionController(sched, local, peer, flow, params) {}
 
   // The QA formulas assume an AIMD sawtooth of slope S; TFRC's equation
   // response to a loss-rate change is bounded by the same one-packet-per-

@@ -39,7 +39,6 @@ const char* event_category_name(EventCategory c);
 struct DispatchRecord {
   TimePoint at;            // simulated firing time
   EventCategory category;
-  int64_t wall_ns;         // measured handler execution cost
 };
 
 class SchedulerProfiler {

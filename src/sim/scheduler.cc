@@ -192,22 +192,22 @@ void Scheduler::execute(Entry& e) {
 }
 
 void Scheduler::dispatch(Entry& e) {
-  if (profiler_ == nullptr && !on_dispatch_.active()) {
-    e.fn();  // untimed fast path: no clock reads, no record construction
-    return;
+  if (profiler_ == nullptr) {
+    e.fn();  // untimed fast path: no clock reads
+  } else {
+    // qa-analyzer: allow(wall-clock) — profiler wall-time measurement only;
+    // wall_ns feeds SchedulerProfiler, never simulated state.
+    const auto start = std::chrono::steady_clock::now();
+    e.fn();
+    profiler_->record(
+        e.category,
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            // qa-analyzer: allow(wall-clock) — second read of the same
+            // profiling interval; same non-digest sink as above.
+            std::chrono::steady_clock::now() - start)
+            .count());
   }
-  // qa-analyzer: allow(wall-clock) — profiler wall-time measurement only;
-  // wall_ns feeds SchedulerProfiler/DispatchRecord, never simulated state.
-  const auto start = std::chrono::steady_clock::now();
-  e.fn();
-  const int64_t wall_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          // qa-analyzer: allow(wall-clock) — second read of the same
-          // profiling interval; same non-digest sink as above.
-          std::chrono::steady_clock::now() - start)
-          .count();
-  if (profiler_) profiler_->record(e.category, wall_ns);
-  on_dispatch_.emit(DispatchRecord{e.at, e.category, wall_ns});
+  on_dispatch_.emit(DispatchRecord{e.at, e.category});
 }
 
 }  // namespace qa::sim

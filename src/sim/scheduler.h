@@ -28,10 +28,11 @@
 // (an event E runs before a same-time tick iff E.seq < the grid's seq).
 //
 // Observability: every event carries an EventCategory tag (sim/profiler.h)
-// naming the subsystem it belongs to. With a SchedulerProfiler attached or
-// an on_dispatch() subscriber present, each handler execution is timed
-// with steady_clock and reported; with neither — the default — the
-// dispatch path takes no clock readings and emits nothing.
+// naming the subsystem it belongs to. With a SchedulerProfiler attached,
+// each handler execution is timed with steady_clock and charged to its
+// category; on_dispatch() subscribers hear every executed handler's sim
+// time and category, never a wall-clock reading. With neither — the
+// default — the dispatch path takes no clock readings and emits nothing.
 #pragma once
 
 #include <cstdint>
@@ -95,8 +96,7 @@ class Scheduler {
   // must outlive the scheduler or be detached first.
   void set_profiler(SchedulerProfiler* profiler) { profiler_ = profiler; }
 
-  // Fired after each executed handler when subscribed; the argument's
-  // wall_ns is the measured execution cost of the handler that just ran.
+  // Fired after each executed handler when subscribed.
   Event<const DispatchRecord&>& on_dispatch() { return on_dispatch_; }
 
  private:

@@ -1,11 +1,10 @@
-// Fixture: cc-module violations — the backend layer reaching up into rap
-// (the factory in app/ exists precisely so cc never names a concrete
-// transport above it) and sideways into core, plus a literal-seeded Rng
-// inside a backend (seeds must arrive through CcParams). The sim include
-// is a permitted downward edge and must not fire.
+// Fixture: cc-module violations — the backend layer reaching up into app
+// (the session sits above every transport) and sideways into core, plus a
+// literal-seeded Rng inside a backend (seeds must arrive through CcParams).
+// The sim include is a permitted downward edge and must not fire.
 // Expected findings: 2 layering + 1 seed-plumbing.
-#include "core/metrics.h"    // finding 1: cc -> core
-#include "rap/rap_source.h"  // finding 2: cc -> rap
+#include "app/session.h"     // finding 1: cc -> app
+#include "core/metrics.h"    // finding 2: cc -> core
 #include "sim/scheduler.h"   // OK: cc -> sim
 #include "util/rng.h"        // OK: cc -> util
 

@@ -57,7 +57,7 @@ TEST(Retransmission, ImprovesDeliveredBaseBytes) {
   auto base_goodput = [](int retransmit_below) {
     RetxFixture f(retransmit_below, 0.08);
     int64_t base_bytes = 0;
-    f.session->rap_sink().set_consumer([&](const sim::Packet& p) {
+    f.session->ack_sink().set_consumer([&](const sim::Packet& p) {
       f.session->client().on_data(p);
       if (p.layer == 0) base_bytes += p.size_bytes;
     });

@@ -394,6 +394,51 @@ TEST(FarmFlags, EveryFlagSetsItsOwnField) {
   }
 }
 
+TEST(ChaosFlags, EveryFlagSetsItsOwnField) {
+  struct ChaosCase {
+    std::vector<std::string> args;
+    std::function<void(ChaosParams*, int*)> expect;
+  };
+  const std::vector<ChaosCase> cases = {
+      {{"--seeds", "3"}, [](auto*, int* seeds) { *seeds = 3; }},
+      {{"--first-seed", "1000"}, [](auto* p, int*) { p->seed = 1000; }},
+      {{"--faults", "8"}, [](auto* p, int*) { p->faults = 8; }},
+      {{"--warmup", "0"},
+       [](auto* p, int*) { p->warmup = TimeDelta::zero(); }},
+      {{"--window", "5"},
+       [](auto* p, int*) { p->fault_window = TimeDelta::seconds(5); }},
+      {{"--tail", "7"}, [](auto* p, int*) { p->tail = TimeDelta::seconds(7); }},
+      {{"--recovery-bound", "15"},
+       [](auto* p, int*) { p->recovery_bound = TimeDelta::seconds(15); }},
+      {{"--bottleneck-kbps", "400"},
+       [](auto* p, int*) { p->bottleneck = Rate::kilobits_per_sec(400); }},
+      {{"--layers", "6"}, [](auto* p, int*) { p->stream_layers = 6; }},
+      {{"--layer-rate", "1250"},
+       [](auto* p, int*) { p->layer_rate = Rate::bytes_per_sec(1250); }},
+  };
+  for (const ChaosCase& c : cases) {
+    SCOPED_TRACE(c.args[0]);
+    const Flags flags = make(c.args);
+    ChaosParams p;
+    int seeds = 50;
+    read_chaos_flags(flags, &p, &seeds);
+    ChaosParams want;
+    int want_seeds = 50;
+    c.expect(&want, &want_seeds);
+    EXPECT_EQ(seeds, want_seeds);
+    EXPECT_EQ(p.seed, want.seed);
+    EXPECT_EQ(p.faults, want.faults);
+    EXPECT_EQ(p.warmup, want.warmup);
+    EXPECT_EQ(p.fault_window, want.fault_window);
+    EXPECT_EQ(p.tail, want.tail);
+    EXPECT_EQ(p.recovery_bound, want.recovery_bound);
+    EXPECT_EQ(p.bottleneck, want.bottleneck);
+    EXPECT_EQ(p.stream_layers, want.stream_layers);
+    EXPECT_EQ(p.layer_rate, want.layer_rate);
+    EXPECT_TRUE(flags.unused().empty());
+  }
+}
+
 // ---- What the readers reject ------------------------------------------------
 
 TEST(ToolFlags, LegacySpellingsAreUnused) {

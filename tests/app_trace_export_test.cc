@@ -195,6 +195,54 @@ TEST_F(TraceExportTest, Fig2StyleRunProducesValidArtifactBundle) {
   EXPECT_NE(report.find("total"), std::string::npos);
 }
 
+// Control runs before observation: when a backoff makes the adapter drop a
+// layer, the adapter's layer_drop instant is written before the transport's
+// backoff instant at the same sim time.
+TEST_F(TraceExportTest, LayerDropPrecedesTheBackoffThatCausedIt) {
+  ObservabilityConfig cfg;
+  cfg.out_dir = dir_;
+  cfg.journeys = false;
+  Observability obs(cfg);
+
+  ExperimentParams params;
+  params.rap_flows = 1;
+  params.tcp_flows = 0;
+  params.duration_sec = 20;
+  params.bottleneck = Rate::kilobits_per_sec(240);
+  params.layer_rate = Rate::bytes_per_sec(10'000);
+  params.stream_layers = 4;
+  params.kmax = 1;
+  params.observability = &obs;
+  run_experiment(params);
+
+  // The line of the first layer_drop and of the first backoff instant at
+  // each "ts" text.
+  std::map<std::string, int> drop_line;
+  std::map<std::string, int> backoff_line;
+  std::ifstream in(dir_ + "/trace.json");
+  int n = 0;
+  for (std::string line; std::getline(in, line); ++n) {
+    std::map<std::string, int>* first = nullptr;
+    if (line.find("\"name\":\"layer_drop\"") != std::string::npos) {
+      first = &drop_line;
+    } else if (line.find("\"name\":\"backoff\"") != std::string::npos) {
+      first = &backoff_line;
+    } else {
+      continue;
+    }
+    const size_t at = line.find("\"ts\":") + 5;
+    first->emplace(line.substr(at, line.find(',', at) - at), n);
+  }
+  int paired = 0;
+  for (const auto& [ts, backoff] : backoff_line) {
+    const auto drop = drop_line.find(ts);
+    if (drop == drop_line.end()) continue;
+    ++paired;
+    EXPECT_LT(drop->second, backoff) << "layer_drop after backoff at " << ts;
+  }
+  EXPECT_GT(paired, 0) << "no backoff dropped a layer; nothing was checked";
+}
+
 TEST_F(TraceExportTest, DisabledTraceStillExportsMetricsAndManifest) {
   ObservabilityConfig cfg;
   cfg.out_dir = dir_;

@@ -4,9 +4,10 @@
 
 #include <memory>
 
+#include "app/session.h"
 #include "app/video_client.h"
-#include "rap/rap_sink.h"
-#include "rap/rap_source.h"
+#include "cc/ack_sink.h"
+#include "cc/rap_source.h"
 #include "sim/network.h"
 #include "sim/topology.h"
 
@@ -16,8 +17,8 @@ namespace {
 struct ServerFixture : ::testing::Test {
   sim::Network net;
   sim::Dumbbell d;
-  rap::RapSource* rap = nullptr;
-  rap::RapSink* sink = nullptr;
+  cc::RapSource* rap = nullptr;
+  cc::AckSink* sink = nullptr;
   std::unique_ptr<VideoServer> server;
   std::vector<sim::Packet> received;
 
@@ -32,11 +33,11 @@ struct ServerFixture : ::testing::Test {
     rp.initial_rate = layer_rate;
     rap = net.adopt_agent(
         d.left[0], flow,
-        std::make_unique<rap::RapSource>(&net.scheduler(), d.left[0],
-                                         d.right[0]->id(), flow, rp));
+        std::make_unique<cc::RapSource>(&net.scheduler(), d.left[0],
+                                        d.right[0]->id(), flow, rp));
     sink = net.adopt_agent(d.right[0], flow,
-                           std::make_unique<rap::RapSink>(&net.scheduler(),
-                                                          d.right[0]));
+                           std::make_unique<cc::AckSink>(&net.scheduler(),
+                                                         d.right[0]));
     sink->set_consumer([this](const sim::Packet& p) { received.push_back(p); });
     server = std::make_unique<VideoServer>(
         &net.scheduler(), rap, cfg,
@@ -113,6 +114,27 @@ TEST_F(ServerFixture, AdapterConfigInheritsStreamProperties) {
         Rate::kilobytes_per_sec(7));
   EXPECT_EQ(server->adapter().config().max_layers, 6);
   EXPECT_DOUBLE_EQ(server->adapter().config().consumption_rate, 7'000.0);
+}
+
+// The server hears the controller through scoped event subscriptions; a
+// stopped session must leave none behind on a controller that the network
+// keeps alive.
+TEST(SessionTeardown, StopLeavesNoServerSubscriberOnTheController) {
+  sim::Network net;
+  sim::DumbbellParams topo;
+  topo.pairs = 1;
+  const sim::Dumbbell d = sim::build_dumbbell(net, topo);
+  Session session(net, d.left[0], d.right[0], SessionConfig{});
+  cc::CongestionController& controller = session.controller();
+  EXPECT_EQ(controller.on_loss().subscriber_count(), 1u);
+  EXPECT_EQ(controller.on_backoff().subscriber_count(), 1u);
+  EXPECT_EQ(controller.on_quiescence().subscriber_count(), 1u);
+  net.run(TimePoint::from_sec(2));
+  session.stop();
+  EXPECT_EQ(controller.on_loss().subscriber_count(), 0u);
+  EXPECT_EQ(controller.on_backoff().subscriber_count(), 0u);
+  EXPECT_EQ(controller.on_quiescence().subscriber_count(), 0u);
+  EXPECT_EQ(controller.on_rate_change().subscriber_count(), 0u);
 }
 
 }  // namespace

@@ -9,8 +9,8 @@
 //       drop events stay efficient — because the QualityAdapter runs
 //       unmodified on top of whatever rate signal the backend emits;
 //   (c) ACK-starvation quiescence entry and post-outage recovery, which
-//       live in the shared cc::CcSource engine and must survive each
-//       backend's step/congestion overrides;
+//       live in the shared cc::CongestionController engine and must
+//       survive each backend's step/congestion overrides;
 //   (d) same-seed determinism — a backend is a pure function of (params,
 //       feedback), so two identical runs digest identically at any worker
 //       count (DESIGN.md §12 extended to the backend axis).
@@ -114,7 +114,7 @@ TEST_P(BackendConformance, BufferNonNegativityAndEfficientDistribution) {
 // (c) ACK starvation and recovery: a total bottleneck outage must push the
 // source into quiescence (stop blind transmission), and clearing the
 // outage must bring transmission back — for every backend, since both
-// behaviors live in the shared CcSource engine. Client buffers stay
+// behaviors live in the shared controller engine. Client buffers stay
 // non-negative throughout (the rebuffer path, not negative drain).
 TEST_P(BackendConformance, AckStarvationQuiescenceAndRecovery) {
   sim::Network net;

@@ -5,20 +5,20 @@
 
 #include <memory>
 
-#include "rap/rap_sink.h"
-#include "rap/rap_source.h"
+#include "cc/ack_sink.h"
+#include "cc/rap_source.h"
 #include "sim/loss_model.h"
 #include "sim/network.h"
 #include "sim/topology.h"
 
-namespace qa::rap {
+namespace qa::cc {
 namespace {
 
 struct Pair {
   sim::Network net;
   sim::Dumbbell d;
   RapSource* src = nullptr;
-  RapSink* sink = nullptr;
+  AckSink* sink = nullptr;
 
   explicit Pair(Rate bottleneck = Rate::kilobytes_per_sec(40)) {
     sim::DumbbellParams topo;
@@ -34,7 +34,7 @@ struct Pair {
         std::make_unique<RapSource>(&net.scheduler(), d.left[0],
                                     d.right[0]->id(), flow, params));
     sink = net.adopt_agent(d.right[0], flow,
-                           std::make_unique<RapSink>(&net.scheduler(),
+                           std::make_unique<AckSink>(&net.scheduler(),
                                                      d.right[0]));
   }
 };
@@ -146,4 +146,4 @@ TEST(RapRobustness, MinRateFloorUnderPersistentLoss) {
 }
 
 }  // namespace
-}  // namespace qa::rap
+}  // namespace qa::cc

@@ -1,22 +1,22 @@
-#include "rap/rap_source.h"
+#include "cc/rap_source.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "rap/rap_sink.h"
+#include "cc/ack_sink.h"
 #include "sim/network.h"
 #include "sim/topology.h"
 #include "util/stats.h"
 
-namespace qa::rap {
+namespace qa::cc {
 namespace {
 
 struct RapPair {
   sim::Network net;
   sim::Dumbbell d;
   RapSource* src = nullptr;
-  RapSink* sink = nullptr;
+  AckSink* sink = nullptr;
 
   explicit RapPair(Rate bottleneck = Rate::kilobytes_per_sec(50),
                    cc::CcParams params = {}) {
@@ -31,30 +31,38 @@ struct RapPair {
         std::make_unique<RapSource>(&net.scheduler(), d.left[0],
                                     d.right[0]->id(), flow, params));
     sink = net.adopt_agent(d.right[0], flow,
-                           std::make_unique<RapSink>(&net.scheduler(),
+                           std::make_unique<AckSink>(&net.scheduler(),
                                                      d.right[0]));
   }
 };
 
-class BackoffRecorder : public cc::CcListener {
+// Records a source's events. `increases` holds every rate change, so it
+// reads as increases only where the run has no loss (the rate never falls).
+class BackoffRecorder {
  public:
-  void on_backoff(Rate new_rate) override {
-    backoffs.push_back(new_rate.bps());
-  }
-  void on_rate_increase(Rate new_rate) override {
-    increases.push_back(new_rate.bps());
-  }
-  void on_loss(const sim::Packet& p) override { lost_seqs.push_back(p.seq); }
+  explicit BackoffRecorder(RapSource& src)
+      : backoff_sub_(src.on_backoff().subscribe_scoped(
+            [this](TimePoint, Rate r) { backoffs.push_back(r.bps()); })),
+        rate_sub_(src.on_rate_change().subscribe_scoped(
+            [this](TimePoint, Rate r) { increases.push_back(r.bps()); })),
+        loss_sub_(src.on_loss().subscribe_scoped(
+            [this](TimePoint, const sim::Packet& p, bool) {
+              lost_seqs.push_back(p.seq);
+            })) {}
   std::vector<double> backoffs;
   std::vector<double> increases;
   std::vector<int64_t> lost_seqs;
+
+ private:
+  ScopedSubscription backoff_sub_;
+  ScopedSubscription rate_sub_;
+  ScopedSubscription loss_sub_;
 };
 
 TEST(RapSource, AdditiveIncreaseWithoutLoss) {
   // Huge bottleneck: no loss; rate must grow linearly, ~1 pkt/RTT per RTT.
   RapPair pair(Rate::megabits_per_sec(100));
-  BackoffRecorder rec;
-  pair.src->set_listener(&rec);
+  BackoffRecorder rec(*pair.src);
   pair.net.run(TimePoint::from_sec(2));
   EXPECT_TRUE(rec.backoffs.empty());
   EXPECT_GT(rec.increases.size(), 10u);
@@ -70,8 +78,7 @@ TEST(RapSource, AdditiveIncreaseWithoutLoss) {
 
 TEST(RapSource, HalvesRateOnLoss) {
   RapPair pair(Rate::kilobytes_per_sec(50));
-  BackoffRecorder rec;
-  pair.src->set_listener(&rec);
+  BackoffRecorder rec(*pair.src);
   pair.net.run(TimePoint::from_sec(10));
   ASSERT_GT(rec.backoffs.size(), 0u) << "bottleneck should force losses";
   ASSERT_GT(rec.lost_seqs.size(), 0u);
@@ -104,8 +111,7 @@ TEST(RapSource, DeliversApproximatelyLinkRate) {
 
 TEST(RapSource, OneBackoffPerCongestionEvent) {
   RapPair pair(Rate::kilobytes_per_sec(50));
-  BackoffRecorder rec;
-  pair.src->set_listener(&rec);
+  BackoffRecorder rec(*pair.src);
   pair.net.run(TimePoint::from_sec(20));
   // Cluster suppression: strictly fewer backoffs than detected losses is
   // expected under drop-tail burst losses; at minimum never more.
@@ -143,7 +149,7 @@ TEST(RapSource, PayloadTaggerInvokedForEveryDataPacket) {
   EXPECT_GT(tagged, 0);
 }
 
-TEST(RapSink, AcksEveryPacketWithEcho) {
+TEST(AckSink, AcksEveryPacketWithEcho) {
   RapPair pair(Rate::megabits_per_sec(10));
   pair.net.run(TimePoint::from_sec(1));
   EXPECT_GT(pair.sink->packets_received(), 0);
@@ -160,7 +166,7 @@ TEST(RapSource, TwoFlowsShareFairly) {
   topo.rtt = TimeDelta::millis(40);
   sim::Dumbbell d = sim::build_dumbbell(net, topo);
 
-  std::vector<RapSink*> sinks;
+  std::vector<AckSink*> sinks;
   for (int i = 0; i < 2; ++i) {
     const sim::FlowId flow = net.allocate_flow_id();
     cc::CcParams params;
@@ -171,7 +177,7 @@ TEST(RapSource, TwoFlowsShareFairly) {
                                                 params));
     sinks.push_back(net.adopt_agent(
         d.right[i], flow,
-        std::make_unique<RapSink>(&net.scheduler(), d.right[i])));
+        std::make_unique<AckSink>(&net.scheduler(), d.right[i])));
   }
   net.run(TimePoint::from_sec(40));
   const double g0 = static_cast<double>(sinks[0]->bytes_received());
@@ -191,4 +197,4 @@ TEST(RapSource, StartTimeDefersTransmission) {
 }
 
 }  // namespace
-}  // namespace qa::rap
+}  // namespace qa::cc

@@ -5,7 +5,7 @@ split) and the golden-run harness both assume that simulator behaviour is
 a pure function of ExperimentParams. Anything that reads ambient state —
 wall clocks, hardware entropy, the C rand stream, the environment — or
 that default-seeds a random engine breaks that silently. Inside the
-digest modules (src/{core,sim,rap,cbr,tcp,app,tracedrive}) every such
+digest modules (src/{core,sim,cc,cbr,tcp,app,tracedrive}) every such
 read must carry an explicit
 
     // qa-analyzer: allow(wall-clock) — <why this cannot affect digests>

@@ -3,9 +3,9 @@
 src/CMakeLists.txt keeps each subsystem a separate static library so the
 dependency direction stays explicit:
 
-    util -> sim -> {rap, tcp, cbr}        (transports ride the simulator)
+    util -> sim -> {cc, tcp, cbr}         (transports ride the simulator)
     util -> core -> tracedrive            (QA math is simulator-free)
-    {core, rap, tcp, cbr, tracedrive, sim} -> app
+    {core, cc, tcp, cbr, tracedrive, sim} -> app
     app -> tools / bench / tests / examples
 
 A first-party include that points upward (core including app) or across

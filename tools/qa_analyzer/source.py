@@ -30,22 +30,20 @@ TOOL = "qa_analyzer"
 # everything the simulator executes, as opposed to util/ plumbing and the
 # out-of-tree harnesses. A wall-clock read here is a determinism bug unless
 # explicitly allowed.
-DIGEST_MODULES = ("core", "sim", "rap", "cbr", "tcp", "app", "tracedrive")
+DIGEST_MODULES = ("core", "sim", "cc", "cbr", "tcp", "app", "tracedrive")
 
 # Include DAG between the src/ layers, mirroring src/CMakeLists.txt:
-#   util -> sim -> {rap,tcp,cbr} ; util -> core -> tracedrive ; * -> app
+#   util -> sim -> {cc,tcp,cbr} ; util -> core -> tracedrive ; * -> app
 # A layer may include itself, and only the layers listed here.
 LAYER_DAG: dict[str, set[str]] = {
     "util": {"util"},
     "sim": {"sim", "util"},
     "cc": {"cc", "sim", "util"},
     "core": {"core", "util"},
-    "rap": {"rap", "cc", "sim", "util"},
     "tcp": {"tcp", "sim", "util"},
     "cbr": {"cbr", "sim", "util"},
     "tracedrive": {"tracedrive", "core", "util"},
-    "app": {"app", "core", "cc", "rap", "tcp", "cbr", "tracedrive", "sim",
-            "util"},
+    "app": {"app", "core", "cc", "tcp", "cbr", "tracedrive", "sim", "util"},
 }
 
 

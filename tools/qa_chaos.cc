@@ -3,8 +3,8 @@
 // Runs run_chaos_trial for a range of seeds and prints a per-seed outcome
 // table plus a summary; exits 1 when any seed fails its acceptance check
 // (recovered within bound, non-negative buffers, packets flowing after the
-// faults cleared). See EXPERIMENTS.md for the schedule format and the
-// recovery-time metric.
+// faults cleared), and 2 on a bad flag. See EXPERIMENTS.md for the schedule
+// format and the recovery-time metric.
 //
 //   qa_chaos                         # 50 seeds, default schedule
 //   qa_chaos --seeds 200 --faults 8
@@ -17,6 +17,7 @@
 #include <string>
 
 #include "app/chaos.h"
+#include "app/tool_flags.h"
 #include "util/csv.h"
 #include "util/flags.h"
 #include "util/manifest.h"
@@ -26,19 +27,12 @@ using namespace qa::app;
 
 namespace {
 
+constexpr int kDefaultSeeds = 50;
+
 void usage() {
+  std::printf("qa_chaos [flags]\n%s",
+              chaos_flags_usage(ChaosParams{}, kDefaultSeeds).c_str());
   std::printf(
-      "qa_chaos [flags]\n"
-      "  --seeds N              number of seeds to sweep (default 50)\n"
-      "  --first-seed N         first seed (default 1)\n"
-      "  --faults N             faults per schedule (default 6)\n"
-      "  --warmup SECS          clean warmup before faults (default 12)\n"
-      "  --window SECS          fault window length (default 20)\n"
-      "  --tail SECS            clean tail after faults (default 25)\n"
-      "  --recovery-bound SECS  max recovery time after window (default 20)\n"
-      "  --bottleneck-kbps K    bottleneck bandwidth (default 200)\n"
-      "  --layers N             stream layers (default 4)\n"
-      "  --layer-rate BPS       per-layer consumption C (default 2500)\n"
       "  --verbose              per-seed rows even when passing\n"
       "  --out-dir DIR          write chaos.csv (per-seed outcomes) and\n"
       "                         manifest.json (invocation record) to DIR\n");
@@ -54,39 +48,18 @@ int main(int argc, char** argv) {
   }
 
   ChaosParams base;
-  int seeds = 50;
-  uint64_t first_seed = 1;
+  int seeds = kDefaultSeeds;
   try {
-    seeds = static_cast<int>(flags.get_int("seeds", seeds));
-    first_seed = static_cast<uint64_t>(flags.get_int("first-seed", 1));
-    base.faults = static_cast<int>(flags.get_int("faults", base.faults));
-    base.warmup =
-        TimeDelta::from_sec(flags.get_double("warmup", base.warmup.sec()));
-    base.fault_window = TimeDelta::from_sec(
-        flags.get_double("window", base.fault_window.sec()));
-    base.tail = TimeDelta::from_sec(flags.get_double("tail", base.tail.sec()));
-    base.recovery_bound = TimeDelta::from_sec(
-        flags.get_double("recovery-bound", base.recovery_bound.sec()));
-    base.bottleneck = Rate::kilobits_per_sec(
-        flags.get_double("bottleneck-kbps", base.bottleneck.kbps()));
-    base.stream_layers =
-        static_cast<int>(flags.get_int("layers", base.stream_layers));
-    base.layer_rate = Rate::bytes_per_sec(
-        flags.get_double("layer-rate", base.layer_rate.bps()));
+    read_chaos_flags(flags, &base, &seeds);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "qa_chaos: %s\n", e.what());
-    return 1;
-  }
-  const bool verbose = flags.get_bool("verbose", false);
-  const std::string out_dir = flags.get_or("out-dir", "");
-
-  exit_on_unknown_flags(flags, usage);
-  // Zero trials would pass the recovery gate without checking anything.
-  if (seeds < 1) {
-    std::fprintf(stderr, "qa_chaos: --seeds must be >= 1 (got %d)\n", seeds);
     usage();
     return 2;
   }
+  const uint64_t first_seed = base.seed;
+  const bool verbose = flags.get_bool("verbose", false);
+  const std::string out_dir = flags.get_or("out-dir", "");
+  exit_on_unknown_flags(flags, usage, 2);
 
   std::unique_ptr<CsvWriter> csv;
   if (!out_dir.empty()) {

@@ -1,8 +1,8 @@
 # Trace determinism check driven by ctest (see tools/CMakeLists.txt): two
-# same-seed qa_trace runs must write byte-identical trace.json once every
-# measured "wall_ns":<digits> value (the only wall-clock field) is masked.
-# The golden and qa_diff checks run with --no-trace, so this is the test
-# that pins trace bytes.
+# same-seed qa_trace runs must write byte-identical trace.json. The trace
+# carries no wall-clock bytes, so the files are compared raw. The golden
+# and qa_diff checks run with --no-trace, so this is the test that pins
+# trace bytes.
 # Inputs: QA_TRACE (executable), WORK_DIR.
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -17,18 +17,15 @@ foreach(run a b)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "qa_trace run '${run}' failed with ${rc}")
   endif()
-  file(READ ${WORK_DIR}/${run}/trace.json trace)
-  string(REGEX REPLACE "\"wall_ns\":[0-9]+" "\"wall_ns\":0" trace "${trace}")
-  file(WRITE ${WORK_DIR}/${run}/trace.masked.json "${trace}")
 endforeach()
 
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/a/trace.masked.json ${WORK_DIR}/b/trace.masked.json
+          ${WORK_DIR}/a/trace.json ${WORK_DIR}/b/trace.json
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "same-seed runs wrote different trace.json bytes "
-                      "(wall_ns masked): ${WORK_DIR}/a vs ${WORK_DIR}/b")
+  message(FATAL_ERROR "same-seed runs wrote different trace.json bytes: "
+                      "${WORK_DIR}/a vs ${WORK_DIR}/b")
 endif()
-file(SIZE ${WORK_DIR}/a/trace.masked.json size)
-message(STATUS "same-seed trace.json identical (${size} bytes, wall_ns masked)")
+file(SIZE ${WORK_DIR}/a/trace.json size)
+message(STATUS "same-seed trace.json identical (${size} bytes)")
