@@ -7,12 +7,14 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "util/check.h"
 #include "util/csv.h"
-#include "util/stats.h"
+#include "util/time.h"
 
 namespace qa::bench {
 
@@ -67,21 +69,22 @@ inline void banner(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }
 
-// Writes a set of aligned time series as one CSV (shared time column from
-// the first series; all series must be sampled on the same grid).
-inline void write_series_csv(const std::string& file,
-                             const std::vector<std::string>& names,
-                             const std::vector<const TimeSeries*>& series) {
+// Writes sampled columns as one CSV: a t_sec column from the sample clock
+// `times`, then one column per entry of `columns`, each as long as the
+// clock.
+inline void write_series_csv(
+    const std::string& file, std::span<const TimePoint> times,
+    const std::vector<std::string>& names,
+    const std::vector<std::span<const double>>& columns) {
   std::vector<std::string> cols = {"t_sec"};
   cols.insert(cols.end(), names.begin(), names.end());
   CsvWriter csv(out_path(file), cols);
-  if (series.empty() || series[0]->empty()) return;
-  const size_t n = series[0]->size();
+  if (columns.empty() || times.empty()) return;
+  for (const auto& column : columns) QA_CHECK(column.size() == times.size());
+  const size_t n = times.size();
   for (size_t i = 0; i < n; ++i) {
-    std::vector<double> row = {series[0]->points()[i].t.sec()};
-    for (const TimeSeries* s : series) {
-      row.push_back(i < s->size() ? s->points()[i].value : 0.0);
-    }
+    std::vector<double> row = {times[i].sec()};
+    for (const auto& column : columns) row.push_back(column[i]);
     csv.row(row);
   }
   std::printf("  wrote %s (%zu rows)\n", out_path(file).c_str(), n);

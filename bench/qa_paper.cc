@@ -56,10 +56,10 @@ const ExperimentResult& run(const ExperimentParams& params) {
   return memo.emplace_back(params, run_experiment(params)).second;
 }
 
-// The largest value of a series, floored at 0.
-double peak(const TimeSeries& series) {
+// The largest value of a column, floored at 0.
+double peak(std::span<const double> column) {
   double m = 0;
-  for (const auto& pt : series.points()) m = std::max(m, pt.value);
+  for (double v : column) m = std::max(m, v);
   return m;
 }
 
@@ -104,14 +104,15 @@ std::string per_drop(const Summary& s, double fraction, int digits) {
 }
 
 // Appends the CSV columns <prefix>0 .. <prefix>(n-1) from a per-layer
-// series vector.
+// column vector.
 void add_layer_columns(std::vector<std::string>& names,
-                       std::vector<const TimeSeries*>& series,
+                       std::vector<std::span<const double>>& columns,
                        const std::string& prefix,
-                       const std::vector<TimeSeries>& per_layer, int n) {
+                       const std::vector<std::vector<double>>& per_layer,
+                       int n) {
   for (int i = 0; i < n; ++i) {
     names.push_back(prefix + std::to_string(i));
-    series.push_back(&per_layer[static_cast<size_t>(i)]);
+    columns.emplace_back(per_layer[static_cast<size_t>(i)]);
   }
 }
 
@@ -171,11 +172,13 @@ void fig01() {
   RunningStats settled;
   int backoff_like = 0;
   double prev = 0;
-  for (const auto& pt : rate_series.points()) {
-    if (pt.t.sec() < 20.0) continue;
-    settled.add(pt.value);
-    if (prev > 0 && pt.value < prev * 0.7) ++backoff_like;
-    prev = pt.value;
+  const SeriesView rates = rate_series.view();
+  for (size_t i = 0; i < rates.size(); ++i) {
+    if (rates.times[i].sec() < 20.0) continue;
+    const double value = rates.values[i];
+    settled.add(value);
+    if (prev > 0 && value < prev * 0.7) ++backoff_like;
+    prev = value;
   }
 
   bench::TablePrinter table({"metric", "value"}, 26);
@@ -191,7 +194,8 @@ void fig01() {
        bench::fmt(static_cast<double>(sink->bytes_received()) / duration /
                   1000)});
 
-  bench::write_series_csv("fig01_rap_rate.csv", {"rate_bps"}, {&rate_series});
+  bench::write_series_csv("fig01_rap_rate.csv", rates.times, {"rate_bps"},
+                          {rates.values});
 
   std::printf(
       "\nPaper shape: regular sawtooth hunting around the link rate.\n"
@@ -233,8 +237,9 @@ void fig02() {
                                 /*keep_packet_log=*/true);
 
   bench::write_series_csv(
-      "fig02_bandwidth.csv", {"transmission_rate", "consumption_rate"},
-      {&result.series.rate, &result.series.consumption});
+      "fig02_bandwidth.csv", result.series.times,
+      {"transmission_rate", "consumption_rate"},
+      {result.series.rate, result.series.consumption});
 
   {
     CsvWriter csv(bench::out_path("fig02_packets.csv"),
@@ -268,7 +273,7 @@ void fig02() {
       "playback continues. Base stall time: %.3f s (expected 0 after the\n"
       "startup delay); layer count finished at %d.\n",
       result.base_stall.sec(),
-      static_cast<int>(result.series.layers.points().back().value));
+      static_cast<int>(result.series.layers.back()));
 }
 
 // Figures 3-5: the closed-form geometry of filling/draining and the
@@ -342,11 +347,12 @@ void fig03_05() {
     const auto result = run_trace(traj, cfg, 25.0);
 
     std::vector<std::string> names = {"rate", "consumption"};
-    std::vector<const TimeSeries*> series = {&result.series.rate,
-                                             &result.series.consumption};
-    add_layer_columns(names, series, "buf_L", result.series.layer_buffer,
+    std::vector<std::span<const double>> columns = {
+        result.series.rate, result.series.consumption};
+    add_layer_columns(names, columns, "buf_L", result.series.layer_buffer,
                       cfg.max_layers);
-    bench::write_series_csv("fig05_fill_drain.csv", names, series);
+    bench::write_series_csv("fig05_fill_drain.csv", result.series.times,
+                            names, columns);
 
     // Filling order: time each layer's buffer first exceeded a few packets
     // (single-packet jitter around the consumption parity is not filling).
@@ -354,10 +360,12 @@ void fig03_05() {
     t.print_header();
     for (int i = 0; i < cfg.max_layers; ++i) {
       double first = -1, peak = 0;
-      for (const auto& pt :
-           result.series.layer_buffer[static_cast<size_t>(i)].points()) {
-        if (pt.value > 2'500 && first < 0) first = pt.t.sec();
-        peak = std::max(peak, pt.value);
+      const auto& buffer = result.series.layer_buffer[static_cast<size_t>(i)];
+      for (size_t j = 0; j < buffer.size(); ++j) {
+        if (buffer[j] > 2'500 && first < 0) {
+          first = result.series.times[j].sec();
+        }
+        peak = std::max(peak, buffer[j]);
       }
       t.print_row({bench::fmt(i, 0),
                    first < 0 ? "never" : bench::fmt(first, 2),
@@ -393,11 +401,12 @@ void fig06() {
   const auto result = run_trace(traj, cfg, 30.0);
 
   std::vector<std::string> names = {"rate", "consumption", "total_buffer"};
-  std::vector<const TimeSeries*> series = {&result.series.rate,
-                                           &result.series.consumption,
-                                           &result.series.total_buffer};
-  add_layer_columns(names, series, "buf_L", result.series.layer_buffer, 4);
-  bench::write_series_csv("fig06_smoothing.csv", names, series);
+  std::vector<std::span<const double>> columns = {
+      result.series.rate, result.series.consumption,
+      result.series.total_buffer};
+  add_layer_columns(names, columns, "buf_L", result.series.layer_buffer, 4);
+  bench::write_series_csv("fig06_smoothing.csv", result.series.times, names,
+                          columns);
 
   // The fig-6 claim: after the first drain the stream does NOT immediately
   // add a layer once a single backoff's worth is buffered — it keeps
@@ -406,9 +415,10 @@ void fig06() {
   t.print_header();
   for (double at : {11.9, 13.5, 19.9, 21.5, 29.0}) {
     const TimePoint when = TimePoint::from_sec(at);
+    const RunSeries& rs = result.series;
     t.print_row({bench::fmt(at, 1),
-                 bench::fmt(result.series.total_buffer.step_value_at(when), 0),
-                 bench::fmt(result.series.layers.step_value_at(when), 0)});
+                 bench::fmt(rs.view(rs.total_buffer).step_value_at(when), 0),
+                 bench::fmt(rs.view(rs.layers).step_value_at(when), 0)});
   }
   std::printf(
       "\nQuality changes over 30 s: %d (adds %zu, drops %zu); base stall "
@@ -604,17 +614,16 @@ void fig11_report(const char* tag, const ExperimentParams& p) {
   bench::banner(std::string("fig 11 run: ") + tag);
 
   std::vector<std::string> names = {"rate", "consumption", "total_buffer"};
-  std::vector<const TimeSeries*> series = {&r.series.rate,
-                                           &r.series.consumption,
-                                           &r.series.total_buffer};
-  add_layer_columns(names, series, "send_L", r.series.layer_send_rate,
+  std::vector<std::span<const double>> columns = {
+      r.series.rate, r.series.consumption, r.series.total_buffer};
+  add_layer_columns(names, columns, "send_L", r.series.layer_send_rate,
                     p.stream_layers);
-  add_layer_columns(names, series, "drain_L", r.series.layer_drain_rate,
+  add_layer_columns(names, columns, "drain_L", r.series.layer_drain_rate,
                     p.stream_layers);
-  add_layer_columns(names, series, "buf_L", r.series.layer_buffer,
+  add_layer_columns(names, columns, "buf_L", r.series.layer_buffer,
                     p.stream_layers);
-  bench::write_series_csv(std::string("fig11_") + tag + ".csv", names,
-                          series);
+  bench::write_series_csv(std::string("fig11_") + tag + ".csv",
+                          r.series.times, names, columns);
 
   bench::TablePrinter t({"metric", "value"}, 30);
   t.print_header();
@@ -673,8 +682,8 @@ void fig12() {
     double upper = 0, total = 0;
     const size_t n = r.series.total_buffer.size();
     for (size_t i = n / 2; i < n; ++i) {
-      const double tot = r.series.total_buffer.points()[i].value;
-      const double base = r.series.layer_buffer[0].points()[i].value;
+      const double tot = r.series.total_buffer[i];
+      const double base = r.series.layer_buffer[0][i];
       total += tot;
       upper += tot - base;
     }
@@ -686,11 +695,11 @@ void fig12() {
 
     // Per-layer buffer series for the figure's lower panels.
     std::vector<std::string> names = {"total_buffer", "layers"};
-    std::vector<const TimeSeries*> series = {&r.series.total_buffer,
-                                             &r.series.layers};
-    add_layer_columns(names, series, "buf_L", r.series.layer_buffer, 4);
-    bench::write_series_csv(
-        "fig12_kmax" + std::to_string(kmax) + ".csv", names, series);
+    std::vector<std::span<const double>> columns = {r.series.total_buffer,
+                                                    r.series.layers};
+    add_layer_columns(names, columns, "buf_L", r.series.layer_buffer, 4);
+    bench::write_series_csv("fig12_kmax" + std::to_string(kmax) + ".csv",
+                            r.series.times, names, columns);
   }
 
   std::printf(
@@ -712,15 +721,15 @@ void fig13() {
 
   std::vector<std::string> names = {"rate", "consumption", "layers",
                                     "total_buffer"};
-  std::vector<const TimeSeries*> series = {&r.series.rate,
-                                           &r.series.consumption,
-                                           &r.series.layers,
-                                           &r.series.total_buffer};
-  add_layer_columns(names, series, "buf_L", r.series.layer_buffer,
+  std::vector<std::span<const double>> columns = {
+      r.series.rate, r.series.consumption, r.series.layers,
+      r.series.total_buffer};
+  add_layer_columns(names, columns, "buf_L", r.series.layer_buffer,
                     p.stream_layers);
-  add_layer_columns(names, series, "send_L", r.series.layer_send_rate,
+  add_layer_columns(names, columns, "send_L", r.series.layer_send_rate,
                     p.stream_layers);
-  bench::write_series_csv("fig13_responsiveness.csv", names, series);
+  bench::write_series_csv("fig13_responsiveness.csv", r.series.times, names,
+                          columns);
 
   bench::TablePrinter t({"window", "mean_layers", "mean_rate_kBps"}, 20);
   t.print_header();
@@ -734,7 +743,9 @@ void fig13() {
     const TimePoint a = TimePoint::from_sec(w.from);
     const TimePoint b = TimePoint::from_sec(w.to);
     t.print_row({w.name, bench::fmt(r.metrics.mean_quality(a, b), 2),
-                 bench::fmt(r.series.rate.time_average(a, b) / 1000.0, 1)});
+                 bench::fmt(
+                     r.series.view(r.series.rate).time_average(a, b) / 1000.0,
+                     1)});
   }
 
   std::printf("\nlayer adds: %zu, drops: %zu, efficiency e = %s, base stall "
@@ -1201,7 +1212,7 @@ int main(int argc, char** argv) {
     if (std::find(names.begin(), names.end(), name) == names.end()) {
       std::fprintf(stderr, "%s\n",
                    invalid_choice("section", name, names).c_str());
-      return 1;
+      return kUsageExitStatus;
     }
   }
   for (const std::string& name : chosen) {

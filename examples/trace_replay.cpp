@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
     const auto result = tracedrive::run_trace(traj, cfg, duration,
                                               /*packet_bytes=*/250);
     double peak_buf = 0;
-    for (const auto& pt : result.series.total_buffer.points()) {
-      peak_buf = std::max(peak_buf, pt.value);
+    for (double buf : result.series.total_buffer) {
+      peak_buf = std::max(peak_buf, buf);
     }
     std::printf("  %4d %9d %9.2f %10.0f %9.3f %8zu\n", kmax,
                 result.metrics.quality_changes(),

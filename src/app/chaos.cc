@@ -87,14 +87,14 @@ ChaosOutcome run_chaos_trial(const ChaosParams& params) {
              std::floor(metrics.mean_quality(warmup_probe, warmup_end) +
                         1e-9)));
   const double target = static_cast<double>(out.pre_fault_layers);
-  const auto& series = metrics.layer_series();
+  const SeriesView series = metrics.layer_series().view();
   if (series.step_value_at(fault_end, 1.0) >= target) {
     out.recovered = true;
     out.recovery_time = TimeDelta::zero();
   } else {
-    for (const auto& pt : series.points()) {
-      if (pt.t < fault_end || pt.value < target) continue;
-      out.recovery_time = pt.t - fault_end;
+    for (size_t i = 0; i < series.size(); ++i) {
+      if (series.times[i] < fault_end || series.values[i] < target) continue;
+      out.recovery_time = series.times[i] - fault_end;
       out.recovered = out.recovery_time <= params.recovery_bound;
       break;
     }

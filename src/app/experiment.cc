@@ -173,13 +173,12 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
   // --- Series collection. --------------------------------------------------
   ExperimentResult result;
   const size_t n_layers = static_cast<size_t>(params.stream_layers);
-  result.series.layer_buffer.resize(n_layers);
-  result.series.layer_send_rate.resize(n_layers);
-  result.series.layer_drain_rate.resize(n_layers);
-
   std::vector<double> prev_buf(n_layers, 0.0);
   const double dt = params.sample_dt_sec;
   const int samples = static_cast<int>(params.duration_sec / dt);
+  result.series =
+      tracedrive::RunSeries(n_layers, static_cast<size_t>(samples));
+  tracedrive::RunSeries& series = result.series;
   RunningStats qa_rate_stats;
 
   // One self-re-arming event walks the sample grid: tick s fires at
@@ -197,21 +196,21 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
       // Keep the client's rebuffer state fresh even when no packets arrive
       // (a paused or starved stream still has to notice it is dry).
       session.client().sync();
-      result.series.rebuffering.add(at,
-                                    session.client().rebuffering() ? 1 : 0);
-      result.series.rate.add(at, rate);
-      result.series.consumption.add(
-          at, static_cast<double>(na) * adapter.config().consumption_rate);
-      result.series.layers.add(at, na);
-      result.series.total_buffer.add(at, recv.total_buffer());
+      series.times.push_back(at);
+      series.rebuffering.push_back(session.client().rebuffering() ? 1 : 0);
+      series.rate.push_back(rate);
+      series.consumption.push_back(static_cast<double>(na) *
+                                   adapter.config().consumption_rate);
+      series.layers.push_back(na);
+      series.total_buffer.push_back(recv.total_buffer());
       qa_rate_stats.add(rate);
       const std::vector<double> sent = session.server().take_window_sent();
       for (size_t i = 0; i < n_layers; ++i) {
         const double buf = recv.buffer(static_cast<int>(i));
-        result.series.layer_buffer[i].add(at, buf);
-        result.series.layer_send_rate[i].add(at, sent[i] / dt);
-        result.series.layer_drain_rate[i].add(
-            at, std::max(0.0, (prev_buf[i] - buf) / dt));
+        series.layer_buffer[i].push_back(buf);
+        series.layer_send_rate[i].push_back(sent[i] / dt);
+        series.layer_drain_rate[i].push_back(
+            std::max(0.0, (prev_buf[i] - buf) / dt));
         prev_buf[i] = buf;
       }
       if (s < samples) {

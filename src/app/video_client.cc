@@ -1,6 +1,7 @@
 #include "app/video_client.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -30,8 +31,16 @@ VideoClient::VideoClient(sim::Scheduler* sched, double consumption_rate,
 
 bool VideoClient::is_duplicate(const sim::Packet& p) {
   const std::pair<int, int64_t> key{p.layer, p.layer_seq};
-  for (const auto& seen : recent_) {
-    if (seen == key) return true;
+  const auto layer = static_cast<size_t>(p.layer);
+  if (layer >= highest_accepted_.size()) {
+    highest_accepted_.resize(layer + 1, std::numeric_limits<int64_t>::min());
+  }
+  if (p.layer_seq > highest_accepted_[layer]) {
+    highest_accepted_[layer] = p.layer_seq;
+  } else {
+    for (const auto& seen : recent_) {
+      if (seen == key) return true;
+    }
   }
   if (recent_.size() < kDedupWindow) {
     recent_.push_back(key);

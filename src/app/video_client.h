@@ -111,6 +111,10 @@ class VideoClient {
   // never arrived, so they are never filtered.
   std::vector<std::pair<int, int64_t>> recent_;
   size_t recent_next_ = 0;
+  // Highest layer_seq accepted per layer. Every ring entry is an accepted
+  // arrival, so an in-order packet above it cannot be in the ring and
+  // skips the scan; reordered packets and repeats still scan.
+  std::vector<int64_t> highest_accepted_;
   int64_t duplicates_discarded_ = 0;
   JourneyRecorder* journeys_ = nullptr;
 };

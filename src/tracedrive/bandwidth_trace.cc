@@ -17,6 +17,21 @@ constexpr double kStepSec = 0.002;
 
 }  // namespace
 
+RunSeries::RunSeries(size_t n_layers, size_t samples)
+    : layer_buffer(n_layers),
+      layer_send_rate(n_layers),
+      layer_drain_rate(n_layers) {
+  times.reserve(samples);
+  for (auto* column : {&rate, &consumption, &layers, &total_buffer,
+                       &rebuffering}) {
+    column->reserve(samples);
+  }
+  for (auto* per_layer :
+       {&layer_buffer, &layer_send_rate, &layer_drain_rate}) {
+    for (auto& column : *per_layer) column.reserve(samples);
+  }
+}
+
 TraceRunResult run_trace(const core::AimdTrajectory& traj,
                          const core::AdapterConfig& cfg, double duration_sec,
                          double packet_bytes, double sample_dt_sec,
@@ -30,9 +45,14 @@ TraceRunResult run_trace(const core::AimdTrajectory& traj,
   adapter.begin(TimePoint::origin());
 
   const size_t n_layers = static_cast<size_t>(cfg.max_layers);
-  result.series.layer_buffer.resize(n_layers);
-  result.series.layer_send_rate.resize(n_layers);
-  result.series.layer_drain_rate.resize(n_layers);
+  const int64_t steps = static_cast<int64_t>(duration_sec / kStepSec);
+  // At most one sample per replay step, and one per sample_dt_sec up to
+  // and including the end.
+  result.series = RunSeries(
+      n_layers, static_cast<size_t>(
+                    std::min(std::floor(duration_sec / sample_dt_sec) + 1,
+                             static_cast<double>(steps))));
+  RunSeries& series = result.series;
 
   const double slope = traj.slope();
   std::vector<double> window_sent(n_layers, 0.0);  // bytes per sample window
@@ -46,7 +66,6 @@ TraceRunResult run_trace(const core::AimdTrajectory& traj,
   std::vector<double> prev_buf(n_layers, 0.0);
   double prev_sample_t = 0;
 
-  const int64_t steps = static_cast<int64_t>(duration_sec / kStepSec);
   for (int64_t step = 0; step < steps; ++step) {
     const double t = static_cast<double>(step) * kStepSec;  // no drift
     const TimePoint now = TimePoint::from_sec(t);
@@ -82,21 +101,21 @@ TraceRunResult run_trace(const core::AimdTrajectory& traj,
     if (t + kStepSec >= next_sample) {
       const double window = t + kStepSec - prev_sample_t;
       const int na = adapter.active_layers();
-      result.series.rate.add(now, rate);
-      result.series.consumption.add(
-          now, static_cast<double>(na) * cfg.consumption_rate);
-      result.series.layers.add(now, na);
-      result.series.total_buffer.add(now, adapter.receiver().total_buffer());
+      series.times.push_back(now);
+      series.rate.push_back(rate);
+      series.consumption.push_back(static_cast<double>(na) *
+                                   cfg.consumption_rate);
+      series.layers.push_back(na);
+      series.total_buffer.push_back(adapter.receiver().total_buffer());
+      series.rebuffering.push_back(0);
       for (size_t i = 0; i < n_layers; ++i) {
         const double buf = adapter.receiver().buffer(static_cast<int>(i));
-        const double sent_rate = window_sent[i] / window;
-        result.series.layer_buffer[i].add(now, buf);
-        result.series.layer_send_rate[i].add(now, sent_rate);
+        series.layer_buffer[i].push_back(buf);
+        series.layer_send_rate[i].push_back(window_sent[i] / window);
         // Drain rate: the buffer decrease not explained by consumption
         // being met from the network, floored at zero.
         const double delta = prev_buf[i] - buf;
-        result.series.layer_drain_rate[i].add(
-            now, std::max(0.0, delta / window));
+        series.layer_drain_rate[i].push_back(std::max(0.0, delta / window));
         prev_buf[i] = buf;
         window_sent[i] = 0;
       }

@@ -20,18 +20,33 @@
 
 namespace qa::tracedrive {
 
-// Time series collected from one trace-driven run. Per-layer vectors are
-// indexed by layer and sized to the adapter's max_layers.
+// The sampled series of one run, as one table: a sample clock and one
+// value column per quantity, each as long as the clock. A sample costs
+// 8 B per column plus 8 B for its time (30 x 8 B with 8 layers). Per-layer
+// column vectors are indexed by layer and sized to the adapter's
+// max_layers.
 struct RunSeries {
-  TimeSeries rate;                          // transmission rate (bytes/s)
-  TimeSeries consumption;                   // n_a * C (bytes/s)
-  TimeSeries layers;                        // active layer count
-  TimeSeries total_buffer;                  // bytes across active layers
-  TimeSeries rebuffering;                   // client paused for rebuffering
-                                            // (0/1; packet-sim runs only)
-  std::vector<TimeSeries> layer_buffer;     // bytes per layer
-  std::vector<TimeSeries> layer_send_rate;  // bytes/s delivered per layer
-  std::vector<TimeSeries> layer_drain_rate; // bytes/s drawn from buffer
+  RunSeries() = default;
+  // Sizes the table for `samples` rows of `n_layers` layers, so recording
+  // up to that many rows never reallocates.
+  RunSeries(size_t n_layers, size_t samples);
+
+  std::vector<TimePoint> times;      // the sample clock
+  std::vector<double> rate;          // transmission rate (bytes/s)
+  std::vector<double> consumption;   // n_a * C (bytes/s)
+  std::vector<double> layers;        // active layer count
+  std::vector<double> total_buffer;  // bytes across active layers
+  std::vector<double> rebuffering;   // client paused for rebuffering (0/1;
+                                     // always 0 in a trace replay)
+  std::vector<std::vector<double>> layer_buffer;      // bytes per layer
+  std::vector<std::vector<double>> layer_send_rate;   // bytes/s delivered
+  std::vector<std::vector<double>> layer_drain_rate;  // bytes/s drawn from
+                                                      // the buffer
+
+  // One column of this table read against its clock.
+  SeriesView view(const std::vector<double>& column) const {
+    return {times, column};
+  }
 };
 
 // One transmitted packet, for fig-2 style sequence/playout plots.

@@ -77,14 +77,14 @@ std::vector<std::string> Flags::unused() const {
   return out;
 }
 
-void exit_on_unknown_flags(const Flags& flags, void (*usage)(), int status) {
+void exit_on_unknown_flags(const Flags& flags, void (*usage)()) {
   const auto unused = flags.unused();
   if (unused.empty()) return;
   for (const auto& name : unused) {
     std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
   }
   usage();
-  std::exit(status);
+  std::exit(kUsageExitStatus);
 }
 
 template <typename T>

@@ -48,10 +48,14 @@ class Flags {
 template <typename T>
 T parse_number(std::string_view flag, std::string_view text);
 
+// Every tool exits with this status on a usage error: a flag it does not
+// know, a value its reader rejects, or a missing required argument.
+inline constexpr int kUsageExitStatus = 2;
+
 // The typo gate every tool runs after its last read: prints "unknown flag
 // --NAME" to stderr for each flag nothing read, then `usage()`, and exits
-// with `status`. Returns only when every flag was read.
-void exit_on_unknown_flags(const Flags& flags, void (*usage)(), int status = 1);
+// with kUsageExitStatus. Returns only when every flag was read.
+void exit_on_unknown_flags(const Flags& flags, void (*usage)());
 
 // The canonical diagnostic for an enumerated flag set to something outside
 // its value set: "unknown --preset 'fig99' (valid values: fig12, fig13)".

@@ -52,28 +52,26 @@ double SampleSet::max() const {
   return xs_.empty() ? 0.0 : *std::max_element(xs_.begin(), xs_.end());
 }
 
-double TimeSeries::step_value_at(TimePoint t, double fallback) const {
-  if (points_.empty() || t < points_.front().t) return fallback;
-  // Binary search for the last point with point.t <= t.
-  auto it = std::upper_bound(
-      points_.begin(), points_.end(), t,
-      [](TimePoint lhs, const Point& rhs) { return lhs < rhs.t; });
-  return std::prev(it)->value;
+double SeriesView::step_value_at(TimePoint t, double fallback) const {
+  if (times.empty() || t < times.front()) return fallback;
+  // The last point with time <= t.
+  const auto it = std::upper_bound(times.begin(), times.end(), t);
+  return values[static_cast<size_t>(it - times.begin()) - 1];
 }
 
-double TimeSeries::time_average(TimePoint from, TimePoint to) const {
-  if (to <= from || points_.empty()) return 0.0;
+double SeriesView::time_average(TimePoint from, TimePoint to) const {
+  if (to <= from || times.empty()) return 0.0;
   double area = 0.0;
   TimePoint cursor = from;
   double value = step_value_at(from);
-  for (const Point& p : points_) {
-    if (p.t <= from) {
+  for (size_t i = 0; i < times.size(); ++i) {
+    if (times[i] <= from) {
       continue;
     }
-    if (p.t >= to) break;
-    area += value * (p.t - cursor).sec();
-    cursor = p.t;
-    value = p.value;
+    if (times[i] >= to) break;
+    area += value * (times[i] - cursor).sec();
+    cursor = times[i];
+    value = values[i];
   }
   area += value * (to - cursor).sec();
   return area / (to - from).sec();

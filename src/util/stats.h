@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,18 +48,16 @@ class SampleSet {
   std::vector<double> xs_;
 };
 
-// A (time, value) series, e.g. the transmission rate of a flow over a run.
-class TimeSeries {
- public:
-  struct Point {
-    TimePoint t;
-    double value;
-  };
+// A read-only step series: ascending sample times and one value per time,
+// value i holding from times[i] until times[i + 1]. Both spans have the
+// same length. A TimeSeries and each column of a run's sampled table are
+// read through this one implementation.
+struct SeriesView {
+  std::span<const TimePoint> times;
+  std::span<const double> values;
 
-  void add(TimePoint t, double value) { points_.push_back({t, value}); }
-  const std::vector<Point>& points() const { return points_; }
-  bool empty() const { return points_.empty(); }
-  size_t size() const { return points_.size(); }
+  size_t size() const { return values.size(); }
+  bool empty() const { return values.empty(); }
 
   // Value at time t assuming the series is a step function (last point at or
   // before t). Returns `fallback` before the first point.
@@ -66,9 +65,30 @@ class TimeSeries {
 
   // Mean of the step function over [from, to).
   double time_average(TimePoint from, TimePoint to) const;
+};
+
+// A (time, value) series grown one point at a time, for series sampled at
+// irregular instants (e.g. the layer count at each add or drop).
+class TimeSeries {
+ public:
+  void add(TimePoint t, double value) {
+    times_.push_back(t);
+    values_.push_back(value);
+  }
+  SeriesView view() const { return {times_, values_}; }
+  bool empty() const { return values_.empty(); }
+  size_t size() const { return values_.size(); }
+
+  double step_value_at(TimePoint t, double fallback = 0.0) const {
+    return view().step_value_at(t, fallback);
+  }
+  double time_average(TimePoint from, TimePoint to) const {
+    return view().time_average(from, to);
+  }
 
  private:
-  std::vector<Point> points_;  // ascending in t by construction
+  std::vector<TimePoint> times_;  // ascending by construction
+  std::vector<double> values_;
 };
 
 // Jain's fairness index over per-flow allocations: (sum x)^2 / (n sum x^2),

@@ -30,8 +30,8 @@ TEST(Integration, QaFlowStreamsAndAddsLayers) {
   EXPECT_GT(r.qa_packets_sent, 500);
   // Quality climbed past the base layer at some point.
   double max_layers = 0;
-  for (const auto& pt : r.series.layers.points()) {
-    max_layers = std::max(max_layers, pt.value);
+  for (double layers : r.series.layers) {
+    max_layers = std::max(max_layers, layers);
   }
   EXPECT_GE(max_layers, 2.0);
 }
@@ -78,8 +78,7 @@ TEST(Integration, DeterministicForFixedSeed) {
   EXPECT_DOUBLE_EQ(a.final_mirror_total_buffer, b.final_mirror_total_buffer);
   ASSERT_EQ(a.series.layers.size(), b.series.layers.size());
   for (size_t i = 0; i < a.series.layers.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.series.layers.points()[i].value,
-                     b.series.layers.points()[i].value);
+    EXPECT_DOUBLE_EQ(a.series.layers[i], b.series.layers[i]);
   }
 }
 

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <utility>
+#include <vector>
+
 #include "sim/scheduler.h"
+#include "util/rng.h"
 
 namespace qa::app {
 namespace {
@@ -90,6 +96,68 @@ TEST_F(ClientFixture, TotalBufferSumsActiveLayers) {
   deliver(0.0, 1, 0, 500);
   client.sync();
   EXPECT_DOUBLE_EQ(client.total_buffer(), 1'500.0);
+}
+
+// The dedup scan as the client ran it before its in-order fast path: every
+// arrival searches a ring of the last 512 accepted (layer, layer_seq) keys.
+class ReferenceDedup {
+ public:
+  bool duplicate(int layer, int64_t seq) {
+    const std::pair<int, int64_t> key{layer, seq};
+    if (std::find(ring_.begin(), ring_.end(), key) != ring_.end()) return true;
+    if (ring_.size() < kWindow) {
+      ring_.push_back(key);
+    } else {
+      ring_[next_] = key;
+      next_ = (next_ + 1) % kWindow;
+    }
+    return false;
+  }
+
+ private:
+  static constexpr size_t kWindow = 512;
+  std::vector<std::pair<int, int64_t>> ring_;
+  size_t next_ = 0;
+};
+
+TEST_F(ClientFixture, DedupDiscardsExactlyWhatTheRingScanDoes) {
+  // Four layers sent in order, then disturbed on the wire: adjacent swaps
+  // (reordering), immediate repeats (wire duplicates) and resends of an
+  // earlier packet up to 2,000 arrivals back, past the 512-entry window
+  // (retransmissions, some of whose originals the ring has forgotten).
+  Rng rng(7);
+  std::vector<std::pair<int, int64_t>> sent;
+  std::array<int64_t, 4> next_seq{};
+  for (int i = 0; i < 6'000; ++i) {
+    const auto layer = static_cast<size_t>(rng.next_below(4));
+    sent.emplace_back(static_cast<int>(layer), next_seq[layer]++);
+  }
+  for (size_t i = 1; i < sent.size(); ++i) {
+    if (rng.bernoulli(0.05)) std::swap(sent[i - 1], sent[i]);
+  }
+  std::vector<std::pair<int, int64_t>> wire;
+  for (size_t i = 0; i < sent.size(); ++i) {
+    wire.push_back(sent[i]);
+    const double u = rng.next_double();
+    if (u < 0.03) {
+      wire.push_back(sent[i]);
+    } else if (u < 0.06 && i > 0) {
+      wire.push_back(sent[i - 1 - rng.next_below(std::min<size_t>(i, 2'000))]);
+    }
+  }
+
+  ReferenceDedup reference;
+  int64_t expected = 0;
+  for (size_t i = 0; i < wire.size(); ++i) {
+    const auto [layer, seq] = wire[i];
+    if (reference.duplicate(layer, seq)) ++expected;
+    deliver(0.001 * static_cast<double>(i), layer, seq);
+    ASSERT_EQ(client.duplicates_discarded(), expected)
+        << "arrival " << i << ": layer " << layer << " seq " << seq;
+  }
+  // Every kind of arrival occurred: repeats, and resends the ring accepted.
+  EXPECT_GT(expected, 200);
+  EXPECT_GT(client.packets_received(), static_cast<int64_t>(sent.size()));
 }
 
 }  // namespace

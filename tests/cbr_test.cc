@@ -71,12 +71,13 @@ TEST(CbrSource, QaRapYieldsDuringCbrBurstAndRecovers) {
 
   // Skip the first seconds (startup ramp) and the first moments after each
   // transition (reaction time).
-  const double before = r.series.rate.time_average(TimePoint::from_sec(4),
-                                                   TimePoint::from_sec(10));
-  const double during = r.series.rate.time_average(TimePoint::from_sec(12),
-                                                   TimePoint::from_sec(20));
-  const double after = r.series.rate.time_average(TimePoint::from_sec(24),
-                                                  TimePoint::from_sec(30));
+  const SeriesView rate = r.series.view(r.series.rate);
+  const double before =
+      rate.time_average(TimePoint::from_sec(4), TimePoint::from_sec(10));
+  const double during =
+      rate.time_average(TimePoint::from_sec(12), TimePoint::from_sec(20));
+  const double after =
+      rate.time_average(TimePoint::from_sec(24), TimePoint::from_sec(30));
   ASSERT_GT(before, 0);
   EXPECT_LT(during, before * 0.85);  // yields while the CBR burst holds
   EXPECT_GT(after, during);          // claims bandwidth back afterwards

@@ -82,14 +82,15 @@ TEST_P(BackendConformance, BufferNonNegativityAndEfficientDistribution) {
   params.seed = 5;
   const ExperimentResult r = run_experiment(params);
 
-  for (const auto& p : r.series.total_buffer.points()) {
-    ASSERT_GE(p.value, 0.0) << cc::to_string(backend()) << " total buffer at "
-                            << p.t.sec() << " s";
-  }
-  for (size_t layer = 0; layer < r.series.layer_buffer.size(); ++layer) {
-    for (const auto& p : r.series.layer_buffer[layer].points()) {
-      ASSERT_GE(p.value, 0.0) << cc::to_string(backend()) << " layer " << layer
-                              << " buffer at " << p.t.sec() << " s";
+  const auto& s = r.series;
+  for (size_t i = 0; i < s.times.size(); ++i) {
+    ASSERT_GE(s.total_buffer[i], 0.0) << cc::to_string(backend())
+                                      << " total buffer at "
+                                      << s.times[i].sec() << " s";
+    for (size_t layer = 0; layer < s.layer_buffer.size(); ++layer) {
+      ASSERT_GE(s.layer_buffer[layer][i], 0.0)
+          << cc::to_string(backend()) << " layer " << layer << " buffer at "
+          << s.times[i].sec() << " s";
     }
   }
   EXPECT_GE(r.final_client_total_buffer, 0.0);

@@ -1,17 +1,21 @@
-// Steady-state allocation counter for the QA decision path.
+// Allocation counters for the QA decision path and the run series.
 //
 // This binary replaces the global operator new/delete with counting
 // versions. Between layer changes the adapter's per-packet work — the
 // filling walk, the add gate, drain re-planning every drain_period and the
 // backoff handling — must run without touching the heap: all storage it
-// needs is sized when the session starts or when a layer is added.
+// needs is sized when the session starts or when a layer is added. A run's
+// sampled series must cost one clock entry plus one double per column per
+// sample, each buffer allocated once at the run's sample count.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
+#include "app/experiment.h"
 #include "core/quality_adapter.h"
 #include "tracedrive/bandwidth_trace.h"
 #include "util/rng.h"
@@ -21,10 +25,24 @@ namespace {
 bool g_counting = false;
 int64_t g_allocations = 0;
 
+// Blocks of at least g_watch_bytes allocated while counting, so a test can
+// tell which allocation backs a buffer and how large it was.
+struct Block {
+  const void* p = nullptr;
+  std::size_t bytes = 0;
+};
+std::array<Block, 1024> g_blocks;
+std::size_t g_block_count = 0;
+std::size_t g_watch_bytes = SIZE_MAX;
+
 void* counted_alloc(std::size_t n) {
   if (g_counting) ++g_allocations;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  if (g_counting && n >= g_watch_bytes && g_block_count < g_blocks.size()) {
+    g_blocks[g_block_count++] = {p, n};
+  }
+  return p;
 }
 
 }  // namespace
@@ -141,6 +159,81 @@ TEST(SteadyStateAllocations, NoHeapAllocationBetweenLayerChanges) {
   EXPECT_GT(draining, 0);
   EXPECT_EQ(allocations, 0) << "over " << best_len << " calls from call "
                             << best_begin;
+}
+
+// Records the large blocks `run` allocates, watching blocks of at least
+// `watch_bytes`.
+template <typename Run>
+auto record_blocks(std::size_t watch_bytes, Run run) {
+  g_block_count = 0;
+  g_watch_bytes = watch_bytes;
+  g_counting = true;
+  auto result = run();
+  g_counting = false;
+  g_watch_bytes = SIZE_MAX;
+  return result;
+}
+
+// The recorded block that `p` points to the start of; 0 bytes if none.
+std::size_t recorded_bytes(const void* p) {
+  for (std::size_t i = 0; i < g_block_count; ++i) {
+    if (g_blocks[i].p == p) return g_blocks[i].bytes;
+  }
+  return 0;
+}
+
+// The run table holds one clock and `columns` value columns, all as long
+// as the clock, none with capacity past `reserved` samples; each buffer is
+// one block the run allocated at exactly `reserved` entries, so a sample
+// costs 8 B for its time plus 8 B per column. Returns the column count.
+size_t expect_columnar(const tracedrive::RunSeries& s, size_t reserved) {
+  std::vector<const std::vector<double>*> columns = {
+      &s.rate, &s.consumption, &s.layers, &s.total_buffer, &s.rebuffering};
+  for (const auto* per_layer :
+       {&s.layer_buffer, &s.layer_send_rate, &s.layer_drain_rate}) {
+    for (const auto& column : *per_layer) columns.push_back(&column);
+  }
+  EXPECT_LE(s.times.capacity(), reserved);
+  std::size_t table_bytes = recorded_bytes(s.times.data());
+  for (const auto* column : columns) {
+    EXPECT_EQ(column->size(), s.times.size());
+    EXPECT_LE(column->capacity(), reserved);
+    table_bytes += recorded_bytes(column->data());
+  }
+  EXPECT_EQ(table_bytes, reserved * (sizeof(TimePoint) +
+                                     columns.size() * sizeof(double)));
+  return columns.size();
+}
+
+TEST(RunSeriesMemory, TraceReplayTableIsSizedOnce) {
+  Rng rng(42);
+  const AimdTrajectory traj = tracedrive::random_backoff_trajectory(
+      30'000, 8'000, 70'000, 600, 8.0, rng);
+  AdapterConfig cfg;
+  cfg.consumption_rate = 10'000;
+  cfg.max_layers = 8;
+  cfg.kmax = 3;
+  // 600 s at 0.1 s: one sample per period up to and including the end.
+  const size_t reserved = 6'001;
+  const auto r = record_blocks(reserved * sizeof(double), [&] {
+    return tracedrive::run_trace(traj, cfg, 600, 250, 0.1);
+  });
+  // The last period's sample falls to the end's rounding.
+  EXPECT_GE(r.series.times.size(), 5'999u);
+  EXPECT_EQ(expect_columnar(r.series, reserved), 29u);
+  // Nothing else in the replay is that large: the table is all of it.
+  EXPECT_EQ(g_block_count, 30u);
+}
+
+TEST(RunSeriesMemory, ExperimentTableIsSizedOnce) {
+  app::ExperimentParams p = app::ExperimentParams::t1(/*kmax=*/2);
+  p.duration_sec = 60;
+  // One sample every 0.1 s, at 0.1 s .. 60 s.
+  const size_t reserved = 600;
+  const auto r = record_blocks(reserved * sizeof(double),
+                               [&] { return app::run_experiment(p); });
+  EXPECT_EQ(r.series.times.size(), reserved);
+  EXPECT_EQ(expect_columnar(r.series, reserved), 29u);
 }
 
 }  // namespace

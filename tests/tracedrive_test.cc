@@ -24,8 +24,7 @@ TEST(TraceRun, SawtoothStreamsWithoutBaseStall) {
   EXPECT_GT(result.packets_sent, 1000);
   EXPECT_EQ(result.base_stall, TimeDelta::zero());
   // Steady sawtooth: quality settles between 2 and 4 layers.
-  const double final_layers =
-      result.series.layers.points().back().value;
+  const double final_layers = result.series.layers.back();
   EXPECT_GE(final_layers, 2);
   EXPECT_LE(final_layers, 4);
 }
@@ -41,13 +40,14 @@ TEST(TraceRun, SeriesAreCollected) {
   EXPECT_FALSE(result.series.layer_buffer[0].empty());
   // Sampled rate matches the trajectory within a few replay steps of the
   // sample instant (exact at smooth points, ambiguous right at a backoff).
-  for (const auto& pt : result.series.rate.points()) {
+  const auto& s = result.series;
+  for (size_t i = 0; i < s.times.size(); ++i) {
+    const double t = s.times[i].sec();
     double best = 1e18;
     for (double tau = -0.004; tau <= 0.004; tau += 0.001) {
-      best = std::min(best,
-                      std::abs(pt.value - traj.rate_at(pt.t.sec() + tau)));
+      best = std::min(best, std::abs(s.rate[i] - traj.rate_at(t + tau)));
     }
-    EXPECT_LT(best, 100.0) << "t=" << pt.t.sec() << " v=" << pt.value;
+    EXPECT_LT(best, 100.0) << "t=" << t << " v=" << s.rate[i];
   }
 }
 
@@ -61,10 +61,11 @@ TEST(TraceRun, SingleBackoffScenarioFigure2) {
   // Total buffer drops after the backoff, then recovers: find the minimum
   // after t=10 and check a later sample exceeds it.
   double min_after = 1e18, last = 0;
-  for (const auto& pt : result.series.total_buffer.points()) {
-    if (pt.t.sec() >= 10.0) {
-      min_after = std::min(min_after, pt.value);
-      last = pt.value;
+  const auto& s = result.series;
+  for (size_t i = 0; i < s.times.size(); ++i) {
+    if (s.times[i].sec() >= 10.0) {
+      min_after = std::min(min_after, s.total_buffer[i]);
+      last = s.total_buffer[i];
     }
   }
   EXPECT_LT(min_after, last);

@@ -54,12 +54,12 @@ int main(int argc, char** argv) {
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "qa_chaos: %s\n", e.what());
     usage();
-    return 2;
+    return kUsageExitStatus;
   }
   const uint64_t first_seed = base.seed;
   const bool verbose = flags.get_bool("verbose", false);
   const std::string out_dir = flags.get_or("out-dir", "");
-  exit_on_unknown_flags(flags, usage, 2);
+  exit_on_unknown_flags(flags, usage);
 
   std::unique_ptr<CsvWriter> csv;
   if (!out_dir.empty()) {

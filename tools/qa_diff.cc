@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     rules.abs_tol = flags.get_double("abs-tol", rules.abs_tol);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "qa_diff: %s\n", e.what());
-    return 2;
+    return kUsageExitStatus;
   }
   const std::string extra_ignore = flags.get_or("ignore", "");
   size_t start = 0;
@@ -65,12 +65,12 @@ int main(int argc, char** argv) {
   }
   const bool print_digest = flags.get_bool("print-digest", false);
 
-  exit_on_unknown_flags(flags, usage, 2);
+  exit_on_unknown_flags(flags, usage);
   const auto& positional = flags.positional();
   if (positional.size() != 2) {
     std::fprintf(stderr, "qa_diff: expected exactly two runs to compare\n");
     usage();
-    return 2;
+    return kUsageExitStatus;
   }
 
   RunFields a;

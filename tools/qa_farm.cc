@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     fr = flightrec_flags(flags);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "qa_farm: %s\n", e.what());
-    return 1;
+    return kUsageExitStatus;
   }
   const bool print_digest = flags.get_bool("print-digest", false);
   const bool want_trace = flags.get_bool("trace", false);

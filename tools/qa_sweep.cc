@@ -53,15 +53,20 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  SweepGrid grid = SweepGrid::preset("");
+  SweepOptions opts;
   try {
-    SweepGrid grid = SweepGrid::preset("");
-    SweepOptions opts;
     read_sweep_flags(flags, &grid, &opts);
-    const bool print_digest = flags.get_bool("print-digest", false);
-    const std::string bench_json = flags.get_or("bench-json", "");
-    const bool bench_serial = flags.get_bool("bench-serial", false);
-    exit_on_unknown_flags(flags, usage);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "qa_sweep: %s\n", e.what());
+    return kUsageExitStatus;
+  }
+  const bool print_digest = flags.get_bool("print-digest", false);
+  const std::string bench_json = flags.get_or("bench-json", "");
+  const bool bench_serial = flags.get_bool("bench-serial", false);
+  exit_on_unknown_flags(flags, usage);
 
+  try {
     if (!opts.out_dir.empty()) {
       std::filesystem::create_directories(opts.out_dir);
     }
@@ -151,7 +156,7 @@ int main(int argc, char** argv) {
       std::printf("wrote %s\n", bench_json.c_str());
     }
 
-    return failed == 0 ? 0 : 2;
+    return failed == 0 ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "qa_sweep: %s\n", e.what());
     return 1;

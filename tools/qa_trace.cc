@@ -57,13 +57,13 @@ int main(int argc, char** argv) {
     ocfg = observability_flags(flags, out_dir);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "qa_trace: %s\n", e.what());
-    return 1;
+    return kUsageExitStatus;
   }
   exit_on_unknown_flags(flags, usage);
   if (out_dir.empty()) {
     std::fprintf(stderr, "qa_trace: --out-dir is required\n");
     usage();
-    return 1;
+    return kUsageExitStatus;
   }
 
   try {
