@@ -118,6 +118,11 @@ Side run_side(uint64_t ops, int width, int repeats) {
   return best;
 }
 
+void usage() {
+  std::printf(
+      "micro_scheduler [--ops N] [--width N] [--repeats N] [--json FILE]\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -132,20 +137,11 @@ int main(int argc, char** argv) {
     repeats = static_cast<int>(flags.get_int("repeats", repeats));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "micro_scheduler: %s\n", e.what());
-    return 1;
+    return kUsageExitStatus;
   }
   const std::string json_path =
       flags.get_or("json", bench::out_path("BENCH_sched.json"));
-  const auto unused = flags.unused();
-  if (!unused.empty()) {
-    for (const auto& u : unused) {
-      std::fprintf(stderr, "unknown flag --%s\n", u.c_str());
-    }
-    std::fprintf(stderr,
-                 "micro_scheduler [--ops N] [--width N] [--repeats N] "
-                 "[--json FILE]\n");
-    return 1;
-  }
+  exit_on_unknown_flags(flags, usage);
 
   bench::banner("micro_scheduler: event throughput");
   std::printf("ops per workload: %llu, chains: %d, repeats: %d (min taken)\n",

@@ -91,6 +91,11 @@ double best_of(int repeats, uint64_t sessions, const app::SessionConfig& cfg) {
   return best;
 }
 
+void usage() {
+  std::printf("micro_session_churn [--sessions N] [--repeats N] "
+              "[--json FILE]\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -103,20 +108,11 @@ int main(int argc, char** argv) {
     repeats = static_cast<int>(flags.get_int("repeats", repeats));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "micro_session_churn: %s\n", e.what());
-    return 1;
+    return kUsageExitStatus;
   }
   const std::string json_path =
       flags.get_or("json", bench::out_path("BENCH_farm.json"));
-  const auto unused = flags.unused();
-  if (!unused.empty()) {
-    for (const auto& u : unused) {
-      std::fprintf(stderr, "unknown flag --%s\n", u.c_str());
-    }
-    std::fprintf(stderr,
-                 "micro_session_churn [--sessions N] [--repeats N] "
-                 "[--json FILE]\n");
-    return 1;
-  }
+  exit_on_unknown_flags(flags, usage);
 
   bench::banner("micro_session_churn: session build+teardown throughput");
   std::printf("sessions per side: %llu, repeats: %d (min taken)\n",

@@ -46,14 +46,23 @@ namespace {
 // C = 10 kB/s, S = 20 kB/s^2: the scale of the conceptual figures 3-10.
 const AimdModel kModel{10'000.0, 20'000.0};
 
+// A full-simulation result with the sampled series of its QA flow.
+struct Run : ExperimentResult {
+  RunSeries series;
+};
+
 // Every full-simulation result comes from here: each distinct parameter
 // set is simulated once per process, however many sections report it.
-const ExperimentResult& run(const ExperimentParams& params) {
-  static std::deque<std::pair<ExperimentParams, ExperimentResult>> memo;
+const Run& run(const ExperimentParams& params) {
+  static std::deque<std::pair<ExperimentParams, Run>> memo;
   for (const auto& [p, r] : memo) {
     if (p == params) return r;
   }
-  return memo.emplace_back(params, run_experiment(params)).second;
+  Run& r = memo.emplace_back(params, Run{}).second;
+  ExperimentParams recorded = params;
+  recorded.series = &r.series;
+  static_cast<ExperimentResult&>(r) = run_experiment(recorded);
+  return r;
 }
 
 // The largest value of a column, floored at 0.
@@ -94,7 +103,7 @@ Summary summarize(const AdapterMetrics& m, const RunSeries& series,
 }
 
 Summary summarize(const ExperimentParams& p) {
-  const ExperimentResult& r = run(p);
+  const Run& r = run(p);
   return summarize(r.metrics, r.series, r.client_base_stall, p.duration_sec);
 }
 
@@ -232,14 +241,14 @@ void fig02() {
   cfg.kmax = 1;
   cfg.playout_delay = TimeDelta::seconds(2);
 
+  RunSeries series;
   const auto result = run_trace(traj, cfg, 20.0, /*packet_bytes=*/1000,
                                 /*sample_dt_sec=*/0.1,
-                                /*keep_packet_log=*/true);
+                                /*keep_packet_log=*/true, &series);
 
-  bench::write_series_csv(
-      "fig02_bandwidth.csv", result.series.times,
-      {"transmission_rate", "consumption_rate"},
-      {result.series.rate, result.series.consumption});
+  bench::write_series_csv("fig02_bandwidth.csv", series.times,
+                          {"transmission_rate", "consumption_rate"},
+                          {series.rate, series.consumption});
 
   {
     CsvWriter csv(bench::out_path("fig02_packets.csv"),
@@ -273,7 +282,7 @@ void fig02() {
       "playback continues. Base stall time: %.3f s (expected 0 after the\n"
       "startup delay); layer count finished at %d.\n",
       result.base_stall.sec(),
-      static_cast<int>(result.series.layers.back()));
+      static_cast<int>(series.layers.back()));
 }
 
 // Figures 3-5: the closed-form geometry of filling/draining and the
@@ -344,15 +353,18 @@ void fig03_05() {
     cfg.max_layers = 5;
     cfg.kmax = 1;  // fig 5 predates smoothing
     cfg.playout_delay = TimeDelta::seconds(1);
-    const auto result = run_trace(traj, cfg, 25.0);
+    RunSeries series;
+    const auto result = run_trace(traj, cfg, 25.0, /*packet_bytes=*/1000,
+                                  /*sample_dt_sec=*/0.1,
+                                  /*keep_packet_log=*/false, &series);
 
     std::vector<std::string> names = {"rate", "consumption"};
-    std::vector<std::span<const double>> columns = {
-        result.series.rate, result.series.consumption};
-    add_layer_columns(names, columns, "buf_L", result.series.layer_buffer,
+    std::vector<std::span<const double>> columns = {series.rate,
+                                                    series.consumption};
+    add_layer_columns(names, columns, "buf_L", series.layer_buffer,
                       cfg.max_layers);
-    bench::write_series_csv("fig05_fill_drain.csv", result.series.times,
-                            names, columns);
+    bench::write_series_csv("fig05_fill_drain.csv", series.times, names,
+                            columns);
 
     // Filling order: time each layer's buffer first exceeded a few packets
     // (single-packet jitter around the consumption parity is not filling).
@@ -360,10 +372,10 @@ void fig03_05() {
     t.print_header();
     for (int i = 0; i < cfg.max_layers; ++i) {
       double first = -1, peak = 0;
-      const auto& buffer = result.series.layer_buffer[static_cast<size_t>(i)];
+      const auto& buffer = series.layer_buffer[static_cast<size_t>(i)];
       for (size_t j = 0; j < buffer.size(); ++j) {
         if (buffer[j] > 2'500 && first < 0) {
-          first = result.series.times[j].sec();
+          first = series.times[j].sec();
         }
         peak = std::max(peak, buffer[j]);
       }
@@ -398,14 +410,16 @@ void fig06() {
   cfg.kmax = 2;
   cfg.playout_delay = TimeDelta::seconds(1);
 
-  const auto result = run_trace(traj, cfg, 30.0);
+  RunSeries series;
+  const auto result = run_trace(traj, cfg, 30.0, /*packet_bytes=*/1000,
+                                /*sample_dt_sec=*/0.1,
+                                /*keep_packet_log=*/false, &series);
 
   std::vector<std::string> names = {"rate", "consumption", "total_buffer"};
   std::vector<std::span<const double>> columns = {
-      result.series.rate, result.series.consumption,
-      result.series.total_buffer};
-  add_layer_columns(names, columns, "buf_L", result.series.layer_buffer, 4);
-  bench::write_series_csv("fig06_smoothing.csv", result.series.times, names,
+      series.rate, series.consumption, series.total_buffer};
+  add_layer_columns(names, columns, "buf_L", series.layer_buffer, 4);
+  bench::write_series_csv("fig06_smoothing.csv", series.times, names,
                           columns);
 
   // The fig-6 claim: after the first drain the stream does NOT immediately
@@ -415,10 +429,10 @@ void fig06() {
   t.print_header();
   for (double at : {11.9, 13.5, 19.9, 21.5, 29.0}) {
     const TimePoint when = TimePoint::from_sec(at);
-    const RunSeries& rs = result.series;
-    t.print_row({bench::fmt(at, 1),
-                 bench::fmt(rs.view(rs.total_buffer).step_value_at(when), 0),
-                 bench::fmt(rs.view(rs.layers).step_value_at(when), 0)});
+    t.print_row(
+        {bench::fmt(at, 1),
+         bench::fmt(series.view(series.total_buffer).step_value_at(when), 0),
+         bench::fmt(series.view(series.layers).step_value_at(when), 0)});
   }
   std::printf(
       "\nQuality changes over 30 s: %d (adds %zu, drops %zu); base stall "
@@ -609,7 +623,7 @@ void fig08_10() {
 // and C scaled to the 20-flow fair share; a 10x-scaled 8 Mb/s variant with
 // the paper's printed C = 10 kB/s follows for completeness.
 void fig11_report(const char* tag, const ExperimentParams& p) {
-  const ExperimentResult& r = run(p);
+  const Run& r = run(p);
   const Summary s = summarize(p);
   bench::banner(std::string("fig 11 run: ") + tag);
 
@@ -674,7 +688,7 @@ void fig12() {
 
   for (int kmax : {2, 3, 4}) {
     const ExperimentParams p = ExperimentParams::t1(kmax);
-    const ExperimentResult& r = run(p);
+    const Run& r = run(p);
     const Summary s = summarize(p);
 
     // Share of buffering held above the base layer, averaged over the
@@ -717,7 +731,7 @@ void fig13() {
   bench::banner("Figure 13: responsiveness to a CBR bandwidth step (Kmax=4)");
 
   const ExperimentParams p = ExperimentParams::t2(/*kmax=*/4);
-  const ExperimentResult& r = run(p);
+  const Run& r = run(p);
 
   std::vector<std::string> names = {"rate", "consumption", "layers",
                                     "total_buffer"};
@@ -942,8 +956,11 @@ void ext_loss() {
                         16);
   t.print_header();
   const auto row = [&](const char* name, const AimdTrajectory& traj) {
-    const TraceRunResult r = run_trace(traj, cfg, 120, 250);
-    const Summary s = summarize(r.metrics, r.series, r.base_stall, 120);
+    RunSeries series;
+    const TraceRunResult r = run_trace(traj, cfg, 120, 250,
+                                       /*sample_dt_sec=*/0.1,
+                                       /*keep_packet_log=*/false, &series);
+    const Summary s = summarize(r.metrics, series, r.base_stall, 120);
     t.print_row({name, bench::fmt(s.drops, 0),
                  per_drop(s, s.poor_fraction, 0),
                  per_drop(s, s.efficiency, 2),

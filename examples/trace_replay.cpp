@@ -23,17 +23,16 @@
 
 using namespace qa;
 
+namespace {
+
+void usage() { std::printf("trace_replay [trace.csv] [--out-dir DIR]\n"); }
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const std::string out_dir = flags.get_or("out-dir", "trace_replay_out");
-  const auto unused = flags.unused();
-  if (!unused.empty()) {
-    for (const auto& u : unused) {
-      std::fprintf(stderr, "unknown flag --%s\n", u.c_str());
-    }
-    std::fprintf(stderr, "trace_replay [trace.csv] [--out-dir DIR]\n");
-    return 1;
-  }
+  exit_on_unknown_flags(flags, usage);
 
   core::AimdTrajectory traj = [&] {
     if (!flags.positional().empty()) {
@@ -61,10 +60,12 @@ int main(int argc, char** argv) {
     cfg.max_layers = 6;
     cfg.kmax = kmax;
     cfg.playout_delay = TimeDelta::seconds(2);
-    const auto result = tracedrive::run_trace(traj, cfg, duration,
-                                              /*packet_bytes=*/250);
+    tracedrive::RunSeries series;
+    const auto result = tracedrive::run_trace(
+        traj, cfg, duration, /*packet_bytes=*/250, /*sample_dt_sec=*/0.1,
+        /*keep_packet_log=*/false, &series);
     double peak_buf = 0;
-    for (double buf : result.series.total_buffer) {
+    for (double buf : series.total_buffer) {
       peak_buf = std::max(peak_buf, buf);
     }
     std::printf("  %4d %9d %9.2f %10.0f %9.3f %8zu\n", kmax,

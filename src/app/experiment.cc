@@ -173,45 +173,51 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
   // --- Series collection. --------------------------------------------------
   ExperimentResult result;
   const size_t n_layers = static_cast<size_t>(params.stream_layers);
-  std::vector<double> prev_buf(n_layers, 0.0);
   const double dt = params.sample_dt_sec;
   const int samples = static_cast<int>(params.duration_sec / dt);
-  result.series =
-      tracedrive::RunSeries(n_layers, static_cast<size_t>(samples));
-  tracedrive::RunSeries& series = result.series;
+  tracedrive::RunSeries* const series = params.series;
+  // Per-layer bytes sent in the last window and buffer at the last sample;
+  // read only for a requested table.
+  std::vector<double> sent, prev_buf;
+  if (series != nullptr) {
+    *series = tracedrive::RunSeries(n_layers, static_cast<size_t>(samples));
+    sent.resize(n_layers);
+    prev_buf.resize(n_layers);
+  }
   RunningStats qa_rate_stats;
 
   // One self-re-arming event walks the sample grid: tick s fires at
   // from_sec(s * dt) for s = 1..samples, and repeat_at keeps the tie order
   // those `samples` one-shots would have had, without holding them all in
-  // the heap at once.
+  // the heap at once. Recording a sample allocates nothing: the table and
+  // its per-layer scratch are sized above.
   int s = 1;
   if (samples >= 1) {
     net.scheduler().schedule_at(TimePoint::from_sec(dt), [&] {
-      const TimePoint at = TimePoint::from_sec(s * dt);
-      auto& adapter = session.server().adapter();
-      const auto& recv = adapter.receiver();
+      const auto& adapter = session.server().adapter();
       const double rate = session.controller().rate().bps();
       const int na = adapter.active_layers();
       // Keep the client's rebuffer state fresh even when no packets arrive
       // (a paused or starved stream still has to notice it is dry).
       session.client().sync();
-      series.times.push_back(at);
-      series.rebuffering.push_back(session.client().rebuffering() ? 1 : 0);
-      series.rate.push_back(rate);
-      series.consumption.push_back(static_cast<double>(na) *
-                                   adapter.config().consumption_rate);
-      series.layers.push_back(na);
-      series.total_buffer.push_back(recv.total_buffer());
       qa_rate_stats.add(rate);
-      const std::vector<double> sent = session.server().take_window_sent();
-      for (size_t i = 0; i < n_layers; ++i) {
-        const double buf = recv.buffer(static_cast<int>(i));
-        series.layer_buffer[i].push_back(buf);
-        series.layer_send_rate[i].push_back(sent[i] / dt);
-        series.layer_drain_rate[i].push_back(
-            std::max(0.0, (prev_buf[i] - buf) / dt));
-        prev_buf[i] = buf;
+      if (series != nullptr) {
+        const auto& recv = adapter.receiver();
+        series->times.push_back(TimePoint::from_sec(s * dt));
+        series->rate.push_back(rate);
+        series->consumption.push_back(static_cast<double>(na) *
+                                      adapter.config().consumption_rate);
+        series->layers.push_back(na);
+        series->total_buffer.push_back(recv.total_buffer());
+        session.server().take_window_sent(sent);
+        for (size_t i = 0; i < n_layers; ++i) {
+          const double buf = recv.buffer(static_cast<int>(i));
+          series->layer_buffer[i].push_back(buf);
+          series->layer_send_rate[i].push_back(sent[i] / dt);
+          series->layer_drain_rate[i].push_back(
+              std::max(0.0, (prev_buf[i] - buf) / dt));
+          prev_buf[i] = buf;
+        }
       }
       if (s < samples) {
         ++s;

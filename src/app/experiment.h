@@ -80,6 +80,11 @@ struct ExperimentParams {
   // manifest before calling; read the profiler after.
   Observability* observability = nullptr;
 
+  // Optional sampled-series table (not owned). When set, run_experiment
+  // replaces it with the QA flow's series, one row every sample_dt_sec
+  // (rates, layers, buffers); when null, the run keeps no table.
+  tracedrive::RunSeries* series = nullptr;
+
   // Named presets.
   static ExperimentParams t1(int kmax = 2, uint64_t seed = 1);
   static ExperimentParams t2(int kmax = 4, uint64_t seed = 1);
@@ -92,7 +97,6 @@ struct ExperimentParams {
 };
 
 struct ExperimentResult {
-  tracedrive::RunSeries series;     // QA flow: rates, layers, buffers
   core::AdapterMetrics metrics;     // drops/adds/efficiency
   // Transport-level statistics of the QA flow.
   int64_t qa_packets_sent = 0;
@@ -115,8 +119,9 @@ struct ExperimentResult {
   std::vector<VideoClient::PacketRecord> client_packet_log;
 };
 
-// Builds the dumbbell, runs the workload, and collects every series the
-// benches print. Deterministic for a fixed parameter set (seeded).
+// Builds the dumbbell, runs the workload, and collects its results (and,
+// into params.series, the sampled series the benches print).
+// Deterministic for a fixed parameter set (seeded).
 ExperimentResult run_experiment(const ExperimentParams& params);
 
 }  // namespace qa::app

@@ -156,6 +156,7 @@ ExperimentParams SweepGrid::params_at(size_t index) const {
   p.backend = backends[c.backend];
   p.seed = derive_job_seed(*this, index);
   p.observability = nullptr;  // per-job hubs are not supported (see header)
+  p.series = nullptr;         // nor per-job tables: workers would share one
   return p;
 }
 

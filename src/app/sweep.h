@@ -26,10 +26,9 @@
 // equals the unsharded run — which is exactly what tests/app_sweep_test.cc
 // asserts and what CI's TSan'd sweep job exercises.
 //
-// Memory stays bounded: a worker reduces each ExperimentResult (which
-// carries full time series) to the scalar SweepRow before the next job
-// starts, so a thousand-scenario grid holds a thousand rows, not a
-// thousand runs.
+// Memory stays bounded: a worker requests no sampled series and reduces
+// each ExperimentResult to the scalar SweepRow before the next job starts,
+// so a thousand-scenario grid holds a thousand rows, not a thousand runs.
 #pragma once
 
 #include <cstdint>

@@ -322,7 +322,10 @@ void read_sweep_flags(const Flags& flags, SweepGrid* grid, SweepOptions* opts) {
   FlagVisitor read(&flags);
   visit_sweep_axes(read, grid);
   visit_base_flags(read, &grid->base);
-  opts->jobs = static_cast<int>(flags.get_int("jobs", host_cpu_count()));
+  opts->jobs = host_cpu_count();
+  if (const auto v = flags.get("jobs")) {
+    opts->jobs = number<int>("jobs", *v, at_least(1));
+  }
   opts->out_dir = flags.get_or("out-dir", opts->out_dir);
   if (const auto v = flags.get("shard")) {
     int index = -1;

@@ -1,5 +1,7 @@
 #include "app/video_server.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace qa::app {
@@ -122,10 +124,10 @@ void VideoServer::on_quiescence(TimePoint now, bool active) {
   }
 }
 
-std::vector<double> VideoServer::take_window_sent() {
-  std::vector<double> out = window_sent_;
+void VideoServer::take_window_sent(std::span<double> out) {
+  QA_CHECK(out.size() == window_sent_.size());
+  std::copy(window_sent_.begin(), window_sent_.end(), out.begin());
   std::fill(window_sent_.begin(), window_sent_.end(), 0.0);
-  return out;
 }
 
 int64_t VideoServer::bytes_sent(int layer) const {

@@ -13,6 +13,7 @@
 
 #include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cc/congestion_controller.h"
@@ -62,8 +63,9 @@ class VideoServer {
   // scenarios).
   void detach_controller();
 
-  // Bytes sent per layer since the last call (for rate-series probes).
-  std::vector<double> take_window_sent();
+  // Moves the bytes sent per layer since the last call into `out` (one
+  // entry per layer) and starts a new window. Allocates nothing.
+  void take_window_sent(std::span<double> out);
   int64_t bytes_sent(int layer) const;
   // Slots carrying padding because every buffer target was met.
   int64_t padding_packets() const { return padding_packets_; }

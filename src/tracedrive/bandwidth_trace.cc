@@ -22,8 +22,7 @@ RunSeries::RunSeries(size_t n_layers, size_t samples)
       layer_send_rate(n_layers),
       layer_drain_rate(n_layers) {
   times.reserve(samples);
-  for (auto* column : {&rate, &consumption, &layers, &total_buffer,
-                       &rebuffering}) {
+  for (auto* column : {&rate, &consumption, &layers, &total_buffer}) {
     column->reserve(samples);
   }
   for (auto* per_layer :
@@ -35,7 +34,7 @@ RunSeries::RunSeries(size_t n_layers, size_t samples)
 TraceRunResult run_trace(const core::AimdTrajectory& traj,
                          const core::AdapterConfig& cfg, double duration_sec,
                          double packet_bytes, double sample_dt_sec,
-                         bool keep_packet_log) {
+                         bool keep_packet_log, RunSeries* series) {
   QA_CHECK(duration_sec > 0);
   QA_CHECK(packet_bytes > 0);
   QA_CHECK(sample_dt_sec > 0);
@@ -46,13 +45,14 @@ TraceRunResult run_trace(const core::AimdTrajectory& traj,
 
   const size_t n_layers = static_cast<size_t>(cfg.max_layers);
   const int64_t steps = static_cast<int64_t>(duration_sec / kStepSec);
-  // At most one sample per replay step, and one per sample_dt_sec up to
-  // and including the end.
-  result.series = RunSeries(
-      n_layers, static_cast<size_t>(
-                    std::min(std::floor(duration_sec / sample_dt_sec) + 1,
-                             static_cast<double>(steps))));
-  RunSeries& series = result.series;
+  if (series != nullptr) {
+    // At most one sample per replay step, and one per sample_dt_sec up to
+    // and including the end.
+    *series = RunSeries(
+        n_layers, static_cast<size_t>(
+                      std::min(std::floor(duration_sec / sample_dt_sec) + 1,
+                               static_cast<double>(steps))));
+  }
 
   const double slope = traj.slope();
   std::vector<double> window_sent(n_layers, 0.0);  // bytes per sample window
@@ -98,24 +98,23 @@ TraceRunResult run_trace(const core::AimdTrajectory& traj,
       ++result.packets_sent;
     }
 
-    if (t + kStepSec >= next_sample) {
+    if (series != nullptr && t + kStepSec >= next_sample) {
       const double window = t + kStepSec - prev_sample_t;
       const int na = adapter.active_layers();
-      series.times.push_back(now);
-      series.rate.push_back(rate);
-      series.consumption.push_back(static_cast<double>(na) *
-                                   cfg.consumption_rate);
-      series.layers.push_back(na);
-      series.total_buffer.push_back(adapter.receiver().total_buffer());
-      series.rebuffering.push_back(0);
+      series->times.push_back(now);
+      series->rate.push_back(rate);
+      series->consumption.push_back(static_cast<double>(na) *
+                                    cfg.consumption_rate);
+      series->layers.push_back(na);
+      series->total_buffer.push_back(adapter.receiver().total_buffer());
       for (size_t i = 0; i < n_layers; ++i) {
         const double buf = adapter.receiver().buffer(static_cast<int>(i));
-        series.layer_buffer[i].push_back(buf);
-        series.layer_send_rate[i].push_back(window_sent[i] / window);
+        series->layer_buffer[i].push_back(buf);
+        series->layer_send_rate[i].push_back(window_sent[i] / window);
         // Drain rate: the buffer decrease not explained by consumption
         // being met from the network, floored at zero.
         const double delta = prev_buf[i] - buf;
-        series.layer_drain_rate[i].push_back(std::max(0.0, delta / window));
+        series->layer_drain_rate[i].push_back(std::max(0.0, delta / window));
         prev_buf[i] = buf;
         window_sent[i] = 0;
       }

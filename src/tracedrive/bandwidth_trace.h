@@ -22,9 +22,9 @@ namespace qa::tracedrive {
 
 // The sampled series of one run, as one table: a sample clock and one
 // value column per quantity, each as long as the clock. A sample costs
-// 8 B per column plus 8 B for its time (30 x 8 B with 8 layers). Per-layer
+// 8 B per column plus 8 B for its time (29 x 8 B with 8 layers). Per-layer
 // column vectors are indexed by layer and sized to the adapter's
-// max_layers.
+// max_layers. Runs fill one only for a caller that passes it in.
 struct RunSeries {
   RunSeries() = default;
   // Sizes the table for `samples` rows of `n_layers` layers, so recording
@@ -36,8 +36,6 @@ struct RunSeries {
   std::vector<double> consumption;   // n_a * C (bytes/s)
   std::vector<double> layers;        // active layer count
   std::vector<double> total_buffer;  // bytes across active layers
-  std::vector<double> rebuffering;   // client paused for rebuffering (0/1;
-                                     // always 0 in a trace replay)
   std::vector<std::vector<double>> layer_buffer;      // bytes per layer
   std::vector<std::vector<double>> layer_send_rate;   // bytes/s delivered
   std::vector<std::vector<double>> layer_drain_rate;  // bytes/s drawn from
@@ -58,7 +56,6 @@ struct TracePacket {
 };
 
 struct TraceRunResult {
-  RunSeries series;
   core::AdapterMetrics metrics;
   int64_t packets_sent = 0;
   TimeDelta base_stall = TimeDelta::zero();
@@ -69,12 +66,15 @@ struct TraceRunResult {
 // Replays `traj` for `duration_sec` against a fresh adapter configured by
 // `cfg`. `packet_bytes` sets the send granularity; `sample_dt_sec` the
 // series sampling period. `keep_packet_log` records every packet with its
-// estimated playout time (arrival + queued-ahead bytes / C).
+// estimated playout time (arrival + queued-ahead bytes / C). A non-null
+// `series` is replaced by the run's sampled table; with none, the replay
+// samples nothing.
 TraceRunResult run_trace(const core::AimdTrajectory& traj,
                          const core::AdapterConfig& cfg, double duration_sec,
                          double packet_bytes = 1000.0,
                          double sample_dt_sec = 0.1,
-                         bool keep_packet_log = false);
+                         bool keep_packet_log = false,
+                         RunSeries* series = nullptr);
 
 // Synthetic "near-random loss" trajectory (§3): linear increase at `slope`
 // from `initial_rate`, capped at `cap`, with backoffs forced at every cap

@@ -62,6 +62,15 @@ TEST(SweepTest, DerivedSeedIsAFunctionOfCoordinatesOnly) {
   EXPECT_EQ(grid.params_at(3).seed, derive_job_seed(grid, 3));
 }
 
+TEST(SweepTest, JobsShareNoSampledSeriesTable) {
+  SweepGrid grid = small_grid();
+  tracedrive::RunSeries shared;
+  grid.base.series = &shared;
+  for (size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_EQ(grid.params_at(i).series, nullptr) << i;
+  }
+}
+
 TEST(SweepTest, JobCountDoesNotChangeTheOutput) {
   const SweepGrid grid = small_grid();
   SweepOptions serial;

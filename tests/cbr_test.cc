@@ -67,11 +67,13 @@ TEST(CbrSource, QaRapYieldsDuringCbrBurstAndRecovers) {
   params.cbr_stop_sec = 20;
   params.duration_sec = 30;
   params.seed = 2;
-  const app::ExperimentResult r = app::run_experiment(params);
+  tracedrive::RunSeries series;
+  params.series = &series;
+  app::run_experiment(params);
 
   // Skip the first seconds (startup ramp) and the first moments after each
   // transition (reaction time).
-  const SeriesView rate = r.series.view(r.series.rate);
+  const SeriesView rate = series.view(series.rate);
   const double before =
       rate.time_average(TimePoint::from_sec(4), TimePoint::from_sec(10));
   const double during =

@@ -80,9 +80,11 @@ TEST_P(BackendConformance, BufferNonNegativityAndEfficientDistribution) {
   params.tcp_flows = 2;
   params.duration_sec = 30;
   params.seed = 5;
+  tracedrive::RunSeries s;
+  params.series = &s;
   const ExperimentResult r = run_experiment(params);
 
-  const auto& s = r.series;
+  ASSERT_EQ(s.times.size(), 300u);
   for (size_t i = 0; i < s.times.size(); ++i) {
     ASSERT_GE(s.total_buffer[i], 0.0) << cc::to_string(backend())
                                       << " total buffer at "

@@ -6,7 +6,8 @@
 // backoff handling — must run without touching the heap: all storage it
 // needs is sized when the session starts or when a layer is added. A run's
 // sampled series must cost one clock entry plus one double per column per
-// sample, each buffer allocated once at the run's sample count.
+// sample, each buffer allocated once at the run's sample count, and a run
+// asked for no series must allocate none.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -162,10 +163,11 @@ TEST(SteadyStateAllocations, NoHeapAllocationBetweenLayerChanges) {
 }
 
 // Records the large blocks `run` allocates, watching blocks of at least
-// `watch_bytes`.
+// `watch_bytes`, and counts all of its allocations in g_allocations.
 template <typename Run>
 auto record_blocks(std::size_t watch_bytes, Run run) {
   g_block_count = 0;
+  g_allocations = 0;
   g_watch_bytes = watch_bytes;
   g_counting = true;
   auto result = run();
@@ -182,13 +184,20 @@ std::size_t recorded_bytes(const void* p) {
   return 0;
 }
 
+// The allocations a table of `n_layers` layers makes: its clock, its four
+// scalar columns, and one index vector plus `n_layers` columns for each of
+// the three per-layer quantities.
+constexpr int64_t table_allocations(int64_t n_layers) {
+  return 1 + 4 + 3 * (1 + n_layers);
+}
+
 // The run table holds one clock and `columns` value columns, all as long
 // as the clock, none with capacity past `reserved` samples; each buffer is
 // one block the run allocated at exactly `reserved` entries, so a sample
 // costs 8 B for its time plus 8 B per column. Returns the column count.
 size_t expect_columnar(const tracedrive::RunSeries& s, size_t reserved) {
   std::vector<const std::vector<double>*> columns = {
-      &s.rate, &s.consumption, &s.layers, &s.total_buffer, &s.rebuffering};
+      &s.rate, &s.consumption, &s.layers, &s.total_buffer};
   for (const auto* per_layer :
        {&s.layer_buffer, &s.layer_send_rate, &s.layer_drain_rate}) {
     for (const auto& column : *per_layer) columns.push_back(&column);
@@ -205,7 +214,7 @@ size_t expect_columnar(const tracedrive::RunSeries& s, size_t reserved) {
   return columns.size();
 }
 
-TEST(RunSeriesMemory, TraceReplayTableIsSizedOnce) {
+TEST(RunSeriesMemory, TraceReplayTableIsSizedOnceAndOptIn) {
   Rng rng(42);
   const AimdTrajectory traj = tracedrive::random_backoff_trajectory(
       30'000, 8'000, 70'000, 600, 8.0, rng);
@@ -215,25 +224,56 @@ TEST(RunSeriesMemory, TraceReplayTableIsSizedOnce) {
   cfg.kmax = 3;
   // 600 s at 0.1 s: one sample per period up to and including the end.
   const size_t reserved = 6'001;
-  const auto r = record_blocks(reserved * sizeof(double), [&] {
+  tracedrive::RunSeries series;
+  record_blocks(reserved * sizeof(double), [&] {
+    return tracedrive::run_trace(traj, cfg, 600, 250, 0.1,
+                                 /*keep_packet_log=*/false, &series);
+  });
+  const int64_t with_table = g_allocations;
+  // The last period's sample falls to the end's rounding.
+  EXPECT_GE(series.times.size(), 5'999u);
+  EXPECT_EQ(expect_columnar(series, reserved), 28u);
+  // Nothing else in the replay is that large: the table is all of it.
+  EXPECT_EQ(g_block_count, 29u);
+
+  record_blocks(reserved * sizeof(double), [&] {
     return tracedrive::run_trace(traj, cfg, 600, 250, 0.1);
   });
-  // The last period's sample falls to the end's rounding.
-  EXPECT_GE(r.series.times.size(), 5'999u);
-  EXPECT_EQ(expect_columnar(r.series, reserved), 29u);
-  // Nothing else in the replay is that large: the table is all of it.
-  EXPECT_EQ(g_block_count, 30u);
+  // Asked for no table, the replay allocates no column...
+  EXPECT_EQ(g_block_count, 0u);
+  // ...and the table's own buffers were all that recording added: no
+  // sample allocates.
+  EXPECT_EQ(with_table - g_allocations, table_allocations(8));
 }
 
-TEST(RunSeriesMemory, ExperimentTableIsSizedOnce) {
+TEST(RunSeriesMemory, ExperimentTableIsSizedOnceAndOptIn) {
   app::ExperimentParams p = app::ExperimentParams::t1(/*kmax=*/2);
   p.duration_sec = 60;
   // One sample every 0.1 s, at 0.1 s .. 60 s.
   const size_t reserved = 600;
-  const auto r = record_blocks(reserved * sizeof(double),
-                               [&] { return app::run_experiment(p); });
-  EXPECT_EQ(r.series.times.size(), reserved);
-  EXPECT_EQ(expect_columnar(r.series, reserved), 29u);
+  tracedrive::RunSeries series;
+  p.series = &series;
+  record_blocks(reserved * sizeof(double),
+                [&] { return app::run_experiment(p); });
+  const int64_t with_table = g_allocations;
+  const size_t with_table_blocks = g_block_count;
+  EXPECT_EQ(series.times.size(), reserved);
+  EXPECT_EQ(expect_columnar(series, reserved), 28u);
+
+  p.series = nullptr;
+  record_blocks(reserved * sizeof(double),
+                [&] { return app::run_experiment(p); });
+  // Asked for no table, the run allocates none of the table's 29 blocks
+  // and no block of a column's size (the large blocks left are the
+  // simulator's own, grown by doubling)...
+  EXPECT_EQ(with_table_blocks - g_block_count, 29u);
+  for (std::size_t i = 0; i < g_block_count; ++i) {
+    EXPECT_NE(g_blocks[i].bytes, reserved * sizeof(double));
+  }
+  // ...and recording added only the table and the tick's two per-layer
+  // scratch vectors (the send window and the last buffer levels):
+  // recording its 600 samples allocates nothing.
+  EXPECT_EQ(with_table - g_allocations, table_allocations(8) + 2);
 }
 
 }  // namespace

@@ -16,15 +16,23 @@ core::AdapterConfig make_config(int kmax = 2) {
   return cfg;
 }
 
+// run_trace with its defaults and the sampled table requested.
+TraceRunResult run_sampled(const core::AimdTrajectory& traj, double duration,
+                           RunSeries* series) {
+  return run_trace(traj, make_config(), duration, /*packet_bytes=*/1000,
+                   /*sample_dt_sec=*/0.1, /*keep_packet_log=*/false, series);
+}
+
 TEST(TraceRun, SawtoothStreamsWithoutBaseStall) {
   // Fig-1-style sawtooth between 25 and 50 kB/s: 2-4 layers sustainable.
   const auto traj =
       core::AimdTrajectory::sawtooth(30'000, 20'000, 50'000, 40.0);
-  const auto result = run_trace(traj, make_config(), 40.0);
+  RunSeries series;
+  const auto result = run_sampled(traj, 40.0, &series);
   EXPECT_GT(result.packets_sent, 1000);
   EXPECT_EQ(result.base_stall, TimeDelta::zero());
   // Steady sawtooth: quality settles between 2 and 4 layers.
-  const double final_layers = result.series.layers.back();
+  const double final_layers = series.layers.back();
   EXPECT_GE(final_layers, 2);
   EXPECT_LE(final_layers, 4);
 }
@@ -32,15 +40,15 @@ TEST(TraceRun, SawtoothStreamsWithoutBaseStall) {
 TEST(TraceRun, SeriesAreCollected) {
   const auto traj =
       core::AimdTrajectory::sawtooth(30'000, 20'000, 50'000, 10.0);
-  const auto result = run_trace(traj, make_config(), 10.0);
-  EXPECT_FALSE(result.series.rate.empty());
-  EXPECT_FALSE(result.series.layers.empty());
-  EXPECT_FALSE(result.series.total_buffer.empty());
-  ASSERT_EQ(result.series.layer_buffer.size(), 6u);
-  EXPECT_FALSE(result.series.layer_buffer[0].empty());
+  RunSeries s;
+  run_sampled(traj, 10.0, &s);
+  EXPECT_FALSE(s.rate.empty());
+  EXPECT_FALSE(s.layers.empty());
+  EXPECT_FALSE(s.total_buffer.empty());
+  ASSERT_EQ(s.layer_buffer.size(), 6u);
+  EXPECT_FALSE(s.layer_buffer[0].empty());
   // Sampled rate matches the trajectory within a few replay steps of the
   // sample instant (exact at smooth points, ambiguous right at a backoff).
-  const auto& s = result.series;
   for (size_t i = 0; i < s.times.size(); ++i) {
     const double t = s.times[i].sec();
     double best = 1e18;
@@ -56,12 +64,12 @@ TEST(TraceRun, SingleBackoffScenarioFigure2) {
   core::AimdTrajectory traj(20'000, 20'000);
   traj.set_rate_cap(45'000);
   traj.add_backoff(10.0);
-  const auto result = run_trace(traj, make_config(), 20.0);
+  RunSeries s;
+  const auto result = run_sampled(traj, 20.0, &s);
   EXPECT_EQ(result.base_stall, TimeDelta::zero());
   // Total buffer drops after the backoff, then recovers: find the minimum
   // after t=10 and check a later sample exceeds it.
   double min_after = 1e18, last = 0;
-  const auto& s = result.series;
   for (size_t i = 0; i < s.times.size(); ++i) {
     if (s.times[i].sec() >= 10.0) {
       min_after = std::min(min_after, s.total_buffer[i]);
