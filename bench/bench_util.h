@@ -8,12 +8,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "util/check.h"
 #include "util/csv.h"
+#include "util/flags.h"
 #include "util/time.h"
 
 namespace qa::bench {
@@ -22,6 +24,24 @@ namespace qa::bench {
 inline std::string out_path(const std::string& file) {
   std::filesystem::create_directories("bench_out");
   return "bench_out/" + file;
+}
+
+// A count flag (operations, sessions, repeats): `def` when absent, else
+// the value parse_number<T> reads in full, which must be >= 1. Anything
+// else throws std::invalid_argument naming the flag:
+// "--width must be >= 1 (got 0)".
+template <typename T>
+T count_flag(const Flags& flags, const std::string& name, T def) {
+  const auto text = flags.get(name);
+  if (!text) return def;
+  const T v = parse_number<T>(name, *text);
+  if (v >= 1) return v;
+  std::string msg = "--";
+  msg += name;
+  msg += " must be >= 1 (got ";
+  msg += std::to_string(v);
+  msg += ")";
+  throw std::invalid_argument(msg);
 }
 
 // Fixed-width text table.

@@ -132,9 +132,9 @@ int main(int argc, char** argv) {
   int repeats = 3;
   try {
     ops = static_cast<uint64_t>(
-        flags.get_int("ops", static_cast<int64_t>(ops)));
-    width = static_cast<int>(flags.get_int("width", width));
-    repeats = static_cast<int>(flags.get_int("repeats", repeats));
+        bench::count_flag(flags, "ops", static_cast<int64_t>(ops)));
+    width = bench::count_flag(flags, "width", width);
+    repeats = bench::count_flag(flags, "repeats", repeats);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "micro_scheduler: %s\n", e.what());
     return kUsageExitStatus;

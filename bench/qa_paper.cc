@@ -1115,8 +1115,8 @@ MixResult run_mix(int rap_flows, int tcp_flows, bool qa_on_first,
   for (int i = 0; i < rap_flows; ++i) {
     if (i == 0 && qa_on_first) {
       SessionConfig cfg;
-      cfg.stream_layers = 8;
-      cfg.layer_rate = Rate::bytes_per_sec(1'250);
+      cfg.adapter.max_layers = 8;
+      cfg.adapter.consumption_rate = 1'250;
       cfg.cc.packet_size = 250;
       cfg.cc.initial_rate = Rate::bytes_per_sec(1'250);
       session = std::make_unique<Session>(net, d.left[0], d.right[0], cfg);

@@ -70,8 +70,8 @@ int main() {
 
   for (sim::Node* host : client_hosts) {
     app::SessionConfig cfg;
-    cfg.stream_layers = 8;
-    cfg.layer_rate = Rate::bytes_per_sec(1'500);  // C = 1.5 kB/s per layer
+    cfg.adapter.max_layers = 8;
+    cfg.adapter.consumption_rate = 1'500;  // C = 1.5 kB/s per layer
     cfg.adapter.kmax = 2;
     cfg.adapter.surplus_ladder_depth = 4;  // the modem case of §3.1
     cfg.adapter.playout_delay = TimeDelta::seconds(2);

@@ -32,8 +32,8 @@ int main() {
   sim::Dumbbell d = sim::build_dumbbell(net, topo);
 
   app::SessionConfig cfg;
-  cfg.stream_layers = 8;
-  cfg.layer_rate = Rate::bytes_per_sec(2'000);
+  cfg.adapter.max_layers = 8;
+  cfg.adapter.consumption_rate = 2'000;
   cfg.adapter.kmax = 3;
   cfg.adapter.playout_delay = TimeDelta::seconds(2);
   cfg.cc.packet_size = 250;

@@ -25,8 +25,8 @@ int main() {
   // 2. A quality-adaptive streaming session: an 8-layer stream at 5 kB/s
   //    per layer, smoothing factor Kmax = 2, one second of startup delay.
   app::SessionConfig cfg;
-  cfg.stream_layers = 8;
-  cfg.layer_rate = Rate::kilobytes_per_sec(5);
+  cfg.adapter.max_layers = 8;
+  cfg.adapter.consumption_rate = 5'000;  // C: 5 kB/s per layer
   cfg.adapter.kmax = 2;
   cfg.adapter.playout_delay = TimeDelta::seconds(1);
   cfg.cc.packet_size = 500;
@@ -41,7 +41,7 @@ int main() {
   const auto& adapter = session.server().adapter();
   std::printf("after 10 s of streaming over a 50 kB/s bottleneck:\n");
   std::printf("  active layers        : %d of %d\n", adapter.active_layers(),
-              cfg.stream_layers);
+              cfg.adapter.max_layers);
   std::printf("  transmission rate    : %.1f kB/s\n",
               session.controller().rate().kBps());
   std::printf("  packets delivered    : %lld\n",

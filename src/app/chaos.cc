@@ -31,8 +31,6 @@ ChaosOutcome run_chaos_trial(const ChaosParams& params) {
   scfg.cc.packet_size = params.packet_size;
   scfg.cc.initial_rate = params.layer_rate;
   scfg.cc.initial_rtt = params.rtt;
-  scfg.stream_layers = params.stream_layers;
-  scfg.layer_rate = params.layer_rate;
   Session session(net, d.left[0], d.right[0], scfg);
 
   // The randomized schedule: everything lands inside the fault window and

@@ -98,8 +98,6 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
   scfg.cc.initial_rate = params.layer_rate;  // start near one layer's worth
   scfg.cc.initial_rtt = params.rtt;
   scfg.cc.seed = params.seed;  // determinism contract: plumbed, not literal
-  scfg.stream_layers = params.stream_layers;
-  scfg.layer_rate = params.layer_rate;
   scfg.keep_client_packet_log = params.keep_client_packet_log;
   Session session(net, d.left[0], d.right[0], scfg);
 

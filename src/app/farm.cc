@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "app/session.h"
-#include "core/layered_video.h"
 #include "sim/fault.h"
 #include "util/csv.h"
 #include "util/flags.h"
@@ -56,12 +55,6 @@ class Farm {
     }
     if (!params_.classes.empty()) topo_params.classes = params_.classes;
     topo_ = sim::build_farm(net_, topo_params);
-
-    video_full_ = std::make_shared<const core::LayeredVideo>(
-        core::LayeredVideo::linear("stream", params_.stream_layers,
-                                   params_.layer_rate));
-    video_base_ = std::make_shared<const core::LayeredVideo>(
-        core::LayeredVideo::linear("stream", 1, params_.layer_rate));
 
     slots_ = std::make_unique<std::optional<Session>[]>(
         static_cast<size_t>(params_.slots));
@@ -147,14 +140,6 @@ class Farm {
     return -1;
   }
 
-  // Event-site counter increment: a mid-run snapshot sees the ledger move
-  // as it happens; end-of-run totals match the old finalize()-time export.
-  void inc_counter(const char* name, int64_t delta = 1) {
-    if (params_.registry != nullptr) {
-      params_.registry->counter(name).inc(delta);
-    }
-  }
-
   void note(TimePoint now, std::string_view kind, std::string detail_json) {
     if (params_.flightrec != nullptr) {
       params_.flightrec->note(now, kind, std::move(detail_json));
@@ -192,7 +177,6 @@ class Farm {
         delay,
         [this, client_id, attempt] {
           ++result_.retries;
-          inc_counter("farm.retries");
           process_join(client_id, attempt + 1);
         },
         sim::EventCategory::kProbe);
@@ -200,12 +184,10 @@ class Farm {
 
   void process_join(uint64_t client_id, int attempt) {
     ++result_.arrivals;
-    inc_counter("farm.arrivals");
     const TimePoint now = net_.now();
     const int slot = free_slot();
     if (slot < 0) {
       ++result_.rejected_capacity;
-      inc_counter("farm.rejected_capacity");
       emit_verdict(now, "reject_capacity");
       maybe_retry(client_id, attempt);
       return;
@@ -226,7 +208,6 @@ class Farm {
     }
     if (decision == AdmissionDecision::kReject) {
       ++result_.rejected;
-      inc_counter("farm.rejected");
       emit_verdict(now, "reject");
       maybe_retry(client_id, attempt);
       return;
@@ -236,11 +217,9 @@ class Farm {
     admit(slot, now, base_only);
     if (base_only) {
       ++result_.admitted_base_only;
-      inc_counter("farm.admitted_base_only");
       emit_verdict(now, "admit_base_only");
     } else {
       ++result_.admitted;
-      inc_counter("farm.admitted");
       emit_verdict(now, "admit");
     }
   }
@@ -248,11 +227,10 @@ class Farm {
   void admit(int slot, TimePoint now, bool base_only) {
     SessionConfig scfg;
     scfg.backend = params_.backend;
+    scfg.adapter.consumption_rate = params_.layer_rate.bps();
+    scfg.adapter.max_layers = base_only ? 1 : params_.stream_layers;
     scfg.adapter.playout_delay = params_.playout_delay;
     scfg.cc.packet_size = params_.packet_size;
-    scfg.layer_rate = params_.layer_rate;
-    scfg.stream_layers = base_only ? 1 : params_.stream_layers;
-    scfg.video = base_only ? video_base_ : video_full_;
 
     const size_t s = static_cast<size_t>(slot);
     slots_[s].emplace(net_, topo_.servers[s], topo_.clients[s], scfg);
@@ -280,7 +258,6 @@ class Farm {
           if (!slots_[idx].has_value() || info_[idx].generation != gen) return;
           retire(slot, net_.now(), false);
           ++result_.departures;
-          inc_counter("farm.departures");
         },
         sim::EventCategory::kProbe);
   }
@@ -322,7 +299,6 @@ class Farm {
     --active_;
     if (shed) {
       ++result_.shed;
-      inc_counter("farm.shed");
       last_shed_ = now;
       shed_happened_ = true;
       if (params_.trace != nullptr) {
@@ -348,7 +324,6 @@ class Farm {
           pick_rng_.next_below(static_cast<uint64_t>(occupied.size())));
       retire(occupied[pick], now, false);
       ++result_.departures;
-      inc_counter("farm.departures");
       occupied.erase(occupied.begin() + static_cast<long>(pick));
     }
   }
@@ -551,18 +526,17 @@ class Farm {
 
     if (params_.registry != nullptr) {
       MetricsRegistry& reg = *params_.registry;
-      // The verdict/churn counters accumulated at their event sites; only
-      // the ladder totals and run-level gauges land here. The counter()
-      // calls below still create the rows in runs where no join/departure
-      // ever happened, keeping the export schema stable.
-      reg.counter("farm.arrivals");
-      reg.counter("farm.admitted");
-      reg.counter("farm.admitted_base_only");
-      reg.counter("farm.rejected");
-      reg.counter("farm.rejected_capacity");
-      reg.counter("farm.retries");
-      reg.counter("farm.departures");
-      reg.counter("farm.shed");
+      // The run's ledger lives in result_; the registry gets its totals
+      // once, here. Every row exists even when it stays 0, keeping the
+      // export schema stable.
+      reg.counter("farm.arrivals").inc(result_.arrivals);
+      reg.counter("farm.admitted").inc(result_.admitted);
+      reg.counter("farm.admitted_base_only").inc(result_.admitted_base_only);
+      reg.counter("farm.rejected").inc(result_.rejected);
+      reg.counter("farm.rejected_capacity").inc(result_.rejected_capacity);
+      reg.counter("farm.retries").inc(result_.retries);
+      reg.counter("farm.departures").inc(result_.departures);
+      reg.counter("farm.shed").inc(result_.shed);
       reg.counter("farm.ladder.escalations").inc(result_.escalations);
       reg.counter("farm.ladder.oscillations").inc(result_.oscillation_events);
       reg.gauge("farm.aggregate_rebuffer_rate")
@@ -603,9 +577,6 @@ class Farm {
   AdmissionController admission_;
   LoadShedLadder ladder_;
   sim::FaultInjector injector_;
-
-  std::shared_ptr<const core::LayeredVideo> video_full_;
-  std::shared_ptr<const core::LayeredVideo> video_base_;
 
   // Slot i streams topo_.servers[i] -> topo_.clients[i]. The optional is
   // the recycling mechanism: emplace on admit, reset on retire — Session is

@@ -95,8 +95,7 @@ struct FarmParams {
   // Optional: fold per-session metrics and farm aggregates into this
   // registry (bounded: histograms shared across all sessions). Admission
   // verdict and churn counters ("farm.arrivals", "farm.admitted", ...)
-  // are incremented at their event sites, so a mid-run snapshot sees
-  // them move; final totals are identical to the pre-incremental export.
+  // are the FarmResult totals, added once when the run ends.
   MetricsRegistry* registry = nullptr;
 
   // Optional observability fan-out (both not owned, both may be null):

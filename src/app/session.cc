@@ -1,19 +1,8 @@
 #include "app/session.h"
 
-#include "core/layered_video.h"
+#include <memory>
 
 namespace qa::app {
-
-namespace {
-
-std::shared_ptr<const core::LayeredVideo> resolve_video(
-    const SessionConfig& cfg) {
-  if (cfg.video != nullptr) return cfg.video;
-  return std::make_shared<const core::LayeredVideo>(core::LayeredVideo::linear(
-      "stream", cfg.stream_layers, cfg.layer_rate));
-}
-
-}  // namespace
 
 Session::Session(sim::Network& net, sim::Node* server_host,
                  sim::Node* client_host, const SessionConfig& cfg)
@@ -26,11 +15,10 @@ Session::Session(sim::Network& net, sim::Node* server_host,
           client_host, flow_,
           std::make_unique<cc::AckSink>(&net.scheduler(), client_host,
                                         cfg.cc.ack_size))),
-      server_(&net.scheduler(), controller_, cfg.adapter, resolve_video(cfg),
-              cfg.server),
-      client_(&net.scheduler(), cfg.layer_rate.bps(),
-              cfg.video != nullptr ? cfg.video->layers() : cfg.stream_layers,
-              cfg.adapter.playout_delay, cfg.keep_client_packet_log) {
+      server_(&net.scheduler(), controller_, cfg.adapter, cfg.server),
+      client_(&net.scheduler(), cfg.adapter.consumption_rate,
+              cfg.adapter.max_layers, cfg.adapter.playout_delay,
+              cfg.keep_client_packet_log) {
   ack_sink_->set_consumer(
       [this](const sim::Packet& p) { client_.on_data(p); });
 }

@@ -5,15 +5,13 @@
 // Construction is deliberately allocation-light so churning scenarios (the
 // server farm's hundreds of arrivals per run) can build sessions on the
 // hot path: the server and client live inline in the Session (no per-object
-// heap nodes), and a SessionConfig can carry a shared LayeredVideo
-// prototype so per-session construction does not re-allocate the stream
-// description. The farm keeps Sessions in reusable slots
+// heap nodes), and the stream is two scalars of the adapter's config
+// (max_layers layers of consumption_rate C each), so there is no stream
+// description to allocate. The farm keeps Sessions in reusable slots
 // (std::optional<Session> emplace/reset), so a departed session's storage
 // is recycled in place. bench/micro_session_churn measures the
 // build+teardown rate.
 #pragma once
-
-#include <memory>
 
 #include "app/video_client.h"
 #include "app/video_server.h"
@@ -24,20 +22,16 @@
 namespace qa::app {
 
 struct SessionConfig {
+  // Also the stream's shape: adapter.max_layers layers, each consuming
+  // adapter.consumption_rate (C). The server and the client both read it
+  // from here.
   core::AdapterConfig adapter;
   // Which congestion-control law drives the stream. The rest of the stack
   // (server, adapter, client, sink) is backend-agnostic.
   cc::Backend backend = cc::Backend::kRap;
   cc::CcParams cc;
   VideoServerOptions server;
-  int stream_layers = 8;
-  Rate layer_rate = Rate::kilobytes_per_sec(10);
   bool keep_client_packet_log = false;
-  // Shared stream prototype: when set, every session built from this config
-  // reuses it (one allocation for the whole farm) instead of constructing a
-  // fresh LayeredVideo from stream_layers/layer_rate. Must be linear and
-  // must outlive the sessions (shared ownership makes that automatic).
-  std::shared_ptr<const core::LayeredVideo> video;
 };
 
 // A server on `server_host` streaming to `client_host` over the configured

@@ -8,24 +8,16 @@ namespace qa::app {
 
 VideoServer::VideoServer(sim::Scheduler* sched,
                          cc::CongestionController* controller,
-                         core::AdapterConfig adapter_cfg,
-                         std::shared_ptr<const core::LayeredVideo> video,
+                         const core::AdapterConfig& adapter_cfg,
                          VideoServerOptions options)
     : sched_(sched),
       controller_(controller),
-      video_(std::move(video)),
       options_(options),
-      adapter_([&] {
-        // The stream defines how many layers exist and their consumption
-        // rate; keep the adapter consistent with it.
-        adapter_cfg.max_layers = video_->layers();
-        adapter_cfg.consumption_rate = video_->mean_layer_rate().bps();
-        return adapter_cfg;
-      }()),
-      next_layer_seq_(static_cast<size_t>(video_->layers()), 0),
-      layer_bytes_(static_cast<size_t>(video_->layers()), 0),
-      window_sent_(static_cast<size_t>(video_->layers()), 0.0) {
-  QA_CHECK(sched_ != nullptr && controller_ != nullptr && video_ != nullptr);
+      adapter_(adapter_cfg),
+      next_layer_seq_(static_cast<size_t>(adapter_cfg.max_layers), 0),
+      layer_bytes_(static_cast<size_t>(adapter_cfg.max_layers), 0),
+      window_sent_(static_cast<size_t>(adapter_cfg.max_layers), 0.0) {
+  QA_CHECK(sched_ != nullptr && controller_ != nullptr);
   controller_->set_payload_tagger([this](sim::Packet& p) { tag_packet(p); });
   loss_sub_ = controller_->on_loss().subscribe_scoped(
       [this](TimePoint t, const sim::Packet& p, bool) { on_loss(t, p); });
@@ -34,14 +26,6 @@ VideoServer::VideoServer(sim::Scheduler* sched,
   quiescence_sub_ = controller_->on_quiescence().subscribe_scoped(
       [this](TimePoint t, bool active) { on_quiescence(t, active); });
 }
-
-VideoServer::VideoServer(sim::Scheduler* sched,
-                         cc::CongestionController* controller,
-                         core::AdapterConfig adapter_cfg,
-                         core::LayeredVideo video, VideoServerOptions options)
-    : VideoServer(sched, controller, adapter_cfg,
-                  std::make_shared<const core::LayeredVideo>(std::move(video)),
-                  options) {}
 
 void VideoServer::detach_controller() {
   controller_->set_payload_tagger(nullptr);
@@ -84,7 +68,7 @@ void VideoServer::tag_packet(sim::Packet& p) {
     ++padding_packets_;
     return;
   }
-  QA_CHECK(layer >= 0 && layer < video_->layers());
+  QA_CHECK(layer >= 0 && layer < adapter_.config().max_layers);
   p.layer = static_cast<int16_t>(layer);
   p.layer_seq = next_layer_seq_[static_cast<size_t>(layer)]++;
   layer_bytes_[static_cast<size_t>(layer)] += p.size_bytes;
@@ -131,7 +115,7 @@ void VideoServer::take_window_sent(std::span<double> out) {
 }
 
 int64_t VideoServer::bytes_sent(int layer) const {
-  QA_CHECK(layer >= 0 && layer < video_->layers());
+  QA_CHECK(layer >= 0 && layer < adapter_.config().max_layers);
   return layer_bytes_[static_cast<size_t>(layer)];
 }
 

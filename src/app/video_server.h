@@ -12,12 +12,10 @@
 #pragma once
 
 #include <deque>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "cc/congestion_controller.h"
-#include "core/layered_video.h"
 #include "core/quality_adapter.h"
 #include "sim/scheduler.h"
 #include "util/event.h"
@@ -39,15 +37,10 @@ class VideoServer {
   // subscribes to its loss, backoff and quiescence events. Subscribing here,
   // before any observer attaches, makes the adapter act on each event
   // before observability records it. `controller` must outlive the server.
-  // The shared-ownership overload lets churning scenarios reuse one stream
-  // description across hundreds of sessions instead of copying the name
-  // and rate table per session.
+  // The stream is `adapter_cfg.max_layers` layers of
+  // `adapter_cfg.consumption_rate` each (the paper's linear spacing).
   VideoServer(sim::Scheduler* sched, cc::CongestionController* controller,
-              core::AdapterConfig adapter_cfg,
-              std::shared_ptr<const core::LayeredVideo> video,
-              VideoServerOptions options = {});
-  VideoServer(sim::Scheduler* sched, cc::CongestionController* controller,
-              core::AdapterConfig adapter_cfg, core::LayeredVideo video,
+              const core::AdapterConfig& adapter_cfg,
               VideoServerOptions options = {});
   // The subscriptions capture `this`.
   VideoServer(const VideoServer&) = delete;
@@ -55,7 +48,6 @@ class VideoServer {
 
   core::QualityAdapter& adapter() { return adapter_; }
   const core::QualityAdapter& adapter() const { return adapter_; }
-  const core::LayeredVideo& video() const { return *video_; }
   cc::CongestionController& controller() { return *controller_; }
 
   // Removes the tagger and the event subscriptions from the controller
@@ -84,7 +76,6 @@ class VideoServer {
 
   sim::Scheduler* sched_;
   cc::CongestionController* controller_;
-  std::shared_ptr<const core::LayeredVideo> video_;
   VideoServerOptions options_;
   core::QualityAdapter adapter_;
   bool begun_ = false;

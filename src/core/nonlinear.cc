@@ -19,16 +19,6 @@ LayerProfile::LayerProfile(std::vector<double> rates)
   }
 }
 
-LayerProfile LayerProfile::from_video(const LayeredVideo& video,
-                                      int active_layers) {
-  QA_CHECK(active_layers >= 1 && active_layers <= video.layers());
-  std::vector<double> rates(static_cast<size_t>(active_layers));
-  for (int i = 0; i < active_layers; ++i) {
-    rates[static_cast<size_t>(i)] = video.layer_rate(i).bps();
-  }
-  return LayerProfile(std::move(rates));
-}
-
 double LayerProfile::rate(int layer) const {
   QA_CHECK(layer >= 0 && layer < layers());
   return rates_[static_cast<size_t>(layer)];

@@ -7,7 +7,7 @@
 // thickness C_i (band boundaries at the cumulative consumption rates)
 // instead of uniform C. This module provides that generalized math —
 // totals, per-layer shares, and a survivability test with heterogeneous
-// drain caps — plus helpers mapping a LayeredVideo profile onto it.
+// drain caps.
 //
 // The shares reduce exactly to buffer_math's uniform formulas when all
 // rates are equal (property-tested).
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/buffer_math.h"
-#include "core/layered_video.h"
 
 namespace qa::core {
 
@@ -24,7 +23,6 @@ namespace qa::core {
 class LayerProfile {
  public:
   explicit LayerProfile(std::vector<double> rates);
-  static LayerProfile from_video(const LayeredVideo& video, int active_layers);
 
   int layers() const { return static_cast<int>(rates_.size()); }
   double rate(int layer) const;

@@ -140,7 +140,7 @@ TEST(Integration, SessionWiringDeliversVideoPackets) {
   topo.bottleneck_bw = Rate::kilobytes_per_sec(50);
   sim::Dumbbell d = sim::build_dumbbell(net, topo);
   SessionConfig cfg;
-  cfg.stream_layers = 4;
+  cfg.adapter.max_layers = 4;
   Session session(net, d.left[0], d.right[0], cfg);
   net.run(TimePoint::from_sec(5));
   EXPECT_GT(session.client().packets_received(), 0);

@@ -25,8 +25,8 @@ struct RetxFixture {
     d.bottleneck->set_loss_model(
         std::make_unique<sim::BernoulliLoss>(wire_loss, loss_seed));
     SessionConfig cfg;
-    cfg.stream_layers = 4;
-    cfg.layer_rate = Rate::kilobytes_per_sec(5);
+    cfg.adapter.max_layers = 4;
+    cfg.adapter.consumption_rate = 5'000;
     cfg.cc.packet_size = 500;
     cfg.cc.initial_rate = Rate::kilobytes_per_sec(5);
     cfg.adapter.kmax = 2;

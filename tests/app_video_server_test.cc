@@ -40,9 +40,9 @@ struct ServerFixture : ::testing::Test {
                            std::make_unique<cc::AckSink>(&net.scheduler(),
                                                          d.right[0]));
     sink->set_consumer([this](const sim::Packet& p) { received.push_back(p); });
-    server = std::make_unique<VideoServer>(
-        &net.scheduler(), rap, cfg,
-        core::LayeredVideo::linear("clip", layers, layer_rate));
+    cfg.max_layers = layers;
+    cfg.consumption_rate = layer_rate.bps();
+    server = std::make_unique<VideoServer>(&net.scheduler(), rap, cfg);
   }
 };
 
@@ -111,11 +111,18 @@ TEST_F(ServerFixture, BytesSentAccumulatePerLayer) {
             rap->packets_sent() * 1000);
 }
 
-TEST_F(ServerFixture, AdapterConfigInheritsStreamProperties) {
+// The adapter config is the stream: the adapter keeps its (layers, C) and
+// the server sizes its per-layer counters from the same layer count.
+TEST_F(ServerFixture, StreamShapeComesFromTheAdapterConfig) {
   build(Rate::kilobytes_per_sec(50), {}, /*layers=*/6,
         Rate::kilobytes_per_sec(7));
   EXPECT_EQ(server->adapter().config().max_layers, 6);
   EXPECT_DOUBLE_EQ(server->adapter().config().consumption_rate, 7'000.0);
+  net.run(TimePoint::from_sec(2));
+  std::array<double, 6> window{};
+  server->take_window_sent(window);
+  EXPECT_GT(window[0], 0.0);
+  EXPECT_GE(server->bytes_sent(5), 0);  // layer 5 exists
 }
 
 // The server hears the controller through scoped event subscriptions; a
@@ -137,6 +144,31 @@ TEST(SessionTeardown, StopLeavesNoServerSubscriberOnTheController) {
   EXPECT_EQ(controller.on_backoff().subscriber_count(), 0u);
   EXPECT_EQ(controller.on_quiescence().subscriber_count(), 0u);
   EXPECT_EQ(controller.on_rate_change().subscriber_count(), 0u);
+}
+
+// The adapter config is the session's only description of the stream: the
+// adapter and the client both get its C bit for bit (a C whose n-fold sum
+// is inexact, as 3 x 3000.7 is) and its layer count.
+TEST(Session, StreamShapeHasOneHome) {
+  sim::Network net;
+  sim::DumbbellParams topo;
+  topo.pairs = 1;
+  topo.bottleneck_bw = Rate::megabits_per_sec(10);
+  const sim::Dumbbell d = sim::build_dumbbell(net, topo);
+  SessionConfig cfg;
+  cfg.adapter.consumption_rate = 3000.7;
+  cfg.adapter.max_layers = 3;
+  cfg.cc.initial_rate = Rate::bytes_per_sec(3000.7);
+  Session session(net, d.left[0], d.right[0], cfg);
+  const core::QualityAdapter& adapter = session.server().adapter();
+  EXPECT_EQ(adapter.config().consumption_rate, 3000.7);
+  EXPECT_EQ(adapter.receiver().consumption_rate(), 3000.7);
+  EXPECT_EQ(session.client().model().consumption_rate(), 3000.7);
+  EXPECT_EQ(adapter.config().max_layers, 3);
+
+  net.run(TimePoint::from_sec(30));
+  EXPECT_EQ(adapter.active_layers(), 3);
+  EXPECT_EQ(session.client().layers_seen(), 3);
 }
 
 }  // namespace

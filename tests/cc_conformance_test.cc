@@ -136,8 +136,6 @@ TEST_P(BackendConformance, AckStarvationQuiescenceAndRecovery) {
   cfg.cc.packet_size = 500;
   cfg.cc.initial_rate = Rate::bytes_per_sec(2'500);
   cfg.cc.initial_rtt = TimeDelta::millis(40);
-  cfg.stream_layers = 4;
-  cfg.layer_rate = Rate::bytes_per_sec(2'500);
   Session session(net, d.left[0], d.right[0], cfg);
 
   sim::FaultInjector inj(&net.scheduler());

@@ -23,15 +23,6 @@ TEST(LayerProfile, CumulativeBoundaries) {
   EXPECT_DOUBLE_EQ(p.rate(2), 5'000.0);
 }
 
-TEST(LayerProfile, FromVideoUsesActivePrefix) {
-  const auto v = LayeredVideo::with_rates(
-      "clip", {Rate::kilobytes_per_sec(20), Rate::kilobytes_per_sec(10),
-               Rate::kilobytes_per_sec(5)});
-  const auto p = LayerProfile::from_video(v, 2);
-  EXPECT_EQ(p.layers(), 2);
-  EXPECT_DOUBLE_EQ(p.total(), 30'000.0);
-}
-
 TEST(NlBandShare, ReducesToUniformFormula) {
   const auto p = uniform(4, 10'000);
   for (double h : {3'000.0, 15'000.0, 28'000.0, 50'000.0}) {

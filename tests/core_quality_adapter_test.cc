@@ -265,5 +265,14 @@ TEST(QualityAdapterDeathTest, RequiresBegin) {
                "begin");
 }
 
+// The config is the stream's only description: a stream needs a base layer
+// and a positive consumption rate C.
+TEST(QualityAdapterDeathTest, RejectsAStreamWithoutALayerOrARate) {
+  EXPECT_DEATH(QualityAdapter{make_config(2, 0)}, "max_layers >= 1");
+  AdapterConfig no_rate = make_config();
+  no_rate.consumption_rate = 0;
+  EXPECT_DEATH(QualityAdapter{no_rate}, "consumption_rate_? > 0");
+}
+
 }  // namespace
 }  // namespace qa::core

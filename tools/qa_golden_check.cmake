@@ -1,9 +1,10 @@
-# Golden-run check driven by ctest (see tools/CMakeLists.txt): re-run the
-# pinned fig-2 scenario and diff its metrics against the checked-in golden.
+# Golden-run check driven by ctest (see tools/CMakeLists.txt): re-run a
+# pinned scenario and diff its metrics against the checked-in golden.
 # Counters compare exactly; double-valued fields get a loose relative
 # tolerance to absorb libm variation across hosts/compilers.
-# Inputs: QA_TRACE, QA_DIFF (executables), WORK_DIR, GOLDEN (metrics.json),
-# BACKEND (congestion-control backend; defaults to rap).
+# Inputs: QA_DIFF (executable), WORK_DIR, GOLDEN (metrics.json), and the
+# scenario: either QA_TRACE (the fig-2 run; BACKEND names its congestion-
+# control backend, default rap) or QA_FARM (the farm's smoke preset).
 
 if(NOT EXISTS "${GOLDEN}")
   message(FATAL_ERROR "golden artifact missing: ${GOLDEN} "
@@ -17,14 +18,21 @@ file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 # Must match tools/update_goldens.sh exactly.
-execute_process(
-  COMMAND ${QA_TRACE} --out-dir ${WORK_DIR}/run --backend ${BACKEND}
+if(QA_FARM)
+  set(scenario "farm smoke")
+  set(run ${QA_FARM} --out-dir ${WORK_DIR}/run)
+else()
+  set(scenario "fig-2 (${BACKEND})")
+  set(run ${QA_TRACE} --out-dir ${WORK_DIR}/run --backend ${BACKEND}
           --seed 1 --duration-s 10 --layers 4 --kmax 1
-          --no-trace --no-profile
+          --no-trace --no-profile)
+endif()
+execute_process(
+  COMMAND ${run}
   RESULT_VARIABLE rc
   OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "qa_trace golden scenario (${BACKEND}) failed with ${rc}")
+  message(FATAL_ERROR "golden scenario ${scenario} failed with ${rc}")
 endif()
 
 execute_process(
@@ -34,4 +42,4 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "run drifted from golden (qa_diff exit ${rc}):\n${out}")
 endif()
-message(STATUS "golden fig-2 (${BACKEND}) diff clean:\n${out}")
+message(STATUS "golden ${scenario} diff clean:\n${out}")

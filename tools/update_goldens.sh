@@ -8,11 +8,14 @@ set -eu
 root="$(cd "$(dirname "$0")/.." && pwd)"
 build="${BUILD_DIR:-$root/build}"
 qa_trace="$build/tools/qa_trace"
+qa_farm="$build/tools/qa_farm"
 
-if [ ! -x "$qa_trace" ]; then
-  echo "update_goldens: $qa_trace not built" >&2
-  exit 1
-fi
+for tool in "$qa_trace" "$qa_farm"; do
+  if [ ! -x "$tool" ]; then
+    echo "update_goldens: $tool not built" >&2
+    exit 1
+  fi
+done
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -31,3 +34,10 @@ for backend in rap tfrc nada; do
   cp "$work/$dir/metrics.json" "$root/tests/goldens/$dir/metrics.json"
   echo "updated $root/tests/goldens/$dir/metrics.json"
 done
+
+# The farm's smoke preset (qa_farm's default); must match the farm branch
+# of tools/qa_golden_check.cmake.
+"$qa_farm" --out-dir "$work/farm_smoke" > /dev/null
+mkdir -p "$root/tests/goldens/farm_smoke"
+cp "$work/farm_smoke/metrics.json" "$root/tests/goldens/farm_smoke/metrics.json"
+echo "updated $root/tests/goldens/farm_smoke/metrics.json"
