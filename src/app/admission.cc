@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/logging.h"
+#include "core/quality_adapter.h"
 #include "util/rng.h"
 
 namespace qa::app {
@@ -34,14 +34,24 @@ const char* to_string(ShedLevel level) {
   return "?";
 }
 
-AdmissionController::AdmissionController(uint64_t seed,
-                                         const AdmissionConfig& cfg)
-    : cfg_(cfg), seed_(seed) {
-  QA_CHECK(cfg_.min_quality_layers <= cfg_.full_quality_layers);
-  QA_CHECK(cfg_.reopen_headroom_layers >= 0);
-  QA_CHECK(cfg_.retry_base > TimeDelta::zero());
-  QA_CHECK(cfg_.retry_cap >= cfg_.retry_base);
-}
+namespace {
+// >= this: admit at full quality.
+constexpr double kFullQualityLayers = 2.0;
+static_assert(kMinQualityLayers <= kFullQualityLayers);
+// Extra quality required to re-open the gate after it rejected — the
+// hysteresis band that prevents admit/reject flapping at the threshold.
+constexpr double kReopenHeadroomLayers = 0.25;
+static_assert(kReopenHeadroomLayers >= 0);
+
+constexpr double kQueueHi = 0.85;  // bottleneck queue occupancy fraction
+constexpr double kQueueLo = 0.50;
+static_assert(kQueueLo <= kQueueHi);
+constexpr double kRebufferLo = 0.05;
+static_assert(kRebufferLo <= kRebufferHi);
+// Re-escalating within this window of a de-escalation counts as an
+// oscillation event (the ladder released too early and re-gripped).
+constexpr TimeDelta kFlapWindow = TimeDelta::seconds(10);
+}  // namespace
 
 double AdmissionController::quality_score(const JoinRequest& req) const {
   core::FarmLoadModel model;
@@ -50,9 +60,9 @@ double AdmissionController::quality_score(const JoinRequest& req) const {
   model.access_bps = req.access_bps;
   model.consumption_rate = req.consumption_rate;
   model.max_layers = req.max_layers;
-  model.kmax = cfg_.kmax;
+  // The Kmax every farm session runs: the farm leaves the adapter's.
+  model.kmax = core::AdapterConfig{}.kmax;
   model.slope = req.slope;
-  model.utilization_margin = cfg_.utilization_margin;
   const core::QualityPrediction pred = core::predict_session_quality(model);
   // Continuous score: the integer sustainable count plus up to one layer
   // of fractional headroom. Capping the fraction keeps a fat pipe from
@@ -73,13 +83,13 @@ AdmissionDecision AdmissionController::decide(const JoinRequest& req) {
   const double score = quality_score(req);
   // While the gate is closed, every threshold shifts up by the hysteresis
   // band: the load must visibly recede before the farm takes traffic again.
-  const double lift = gate_closed_ ? cfg_.reopen_headroom_layers : 0.0;
+  const double lift = gate_closed_ ? kReopenHeadroomLayers : 0.0;
 
   AdmissionDecision d;
-  if (score >= cfg_.full_quality_layers + lift) {
+  if (score >= kFullQualityLayers + lift) {
     d = AdmissionDecision::kAdmit;
     ++admitted_;
-  } else if (score >= cfg_.min_quality_layers + lift) {
+  } else if (score >= kMinQualityLayers + lift) {
     d = AdmissionDecision::kAdmitBaseOnly;
     ++admitted_base_;
   } else {
@@ -98,31 +108,24 @@ TimeDelta AdmissionController::retry_delay(uint64_t client_id,
                                            int attempt) const {
   const int shift = std::clamp(attempt, 0, 30);
   double delay_s =
-      cfg_.retry_base.sec() * static_cast<double>(uint64_t{1} << shift);
-  delay_s = std::min(delay_s, cfg_.retry_cap.sec());
+      kRetryBase.sec() * static_cast<double>(uint64_t{1} << shift);
+  delay_s = std::min(delay_s, kRetryCap.sec());
   // Jitter derived purely from (seed, client, attempt): the same farm run
   // always produces the same retry schedule.
   uint64_t state = seed_ ^ (client_id * 0x9E3779B97F4A7C15ULL) ^
                    (static_cast<uint64_t>(shift) + 1) * 0xD1B54A32D192ED03ULL;
   const uint64_t bits = splitmix64(state);
   const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;  // [0, 1)
-  return TimeDelta::from_sec(delay_s * (1.0 + cfg_.retry_jitter_frac * u));
-}
-
-LoadShedLadder::LoadShedLadder(const LoadShedConfig& cfg) : cfg_(cfg) {
-  QA_CHECK(cfg_.queue_lo <= cfg_.queue_hi);
-  QA_CHECK(cfg_.rebuffer_lo <= cfg_.rebuffer_hi);
-  QA_CHECK(cfg_.dwell > TimeDelta::zero());
-  QA_CHECK(cfg_.dwell_down >= cfg_.dwell);
+  return TimeDelta::from_sec(delay_s * (1.0 + kRetryJitterFrac * u));
 }
 
 ShedLevel LoadShedLadder::update(TimePoint now, double queue_frac,
                                  double rebuffer_frac) {
-  const bool queue_hot = queue_frac >= cfg_.queue_hi;
-  const bool rebuffer_hot = rebuffer_frac >= cfg_.rebuffer_hi;
+  const bool queue_hot = queue_frac >= kQueueHi;
+  const bool rebuffer_hot = rebuffer_frac >= kRebufferHi;
   const bool hot = queue_hot || rebuffer_hot;
-  const bool cool_rebuffer = rebuffer_frac <= cfg_.rebuffer_lo;
-  const bool cool_queue = queue_frac <= cfg_.queue_lo;
+  const bool cool_rebuffer = rebuffer_frac <= kRebufferLo;
+  const bool cool_queue = queue_frac <= kQueueLo;
 
   // A standing queue is what AIMD flows do to a drop-tail bottleneck at
   // any load — on its own it justifies only the gentle rung (stop adding
@@ -140,8 +143,8 @@ ShedLevel LoadShedLadder::update(TimePoint now, double queue_frac,
 
   if (last_dir_ != 0) {
     const TimeDelta since = now - last_change_;
-    if (since < cfg_.dwell) return level_;
-    if (!may_escalate && since < cfg_.dwell_down) return level_;
+    if (since < kDwell) return level_;
+    if (!may_escalate && since < kDwellDown) return level_;
   }
 
   int dir = 0;
@@ -159,7 +162,7 @@ ShedLevel LoadShedLadder::update(TimePoint now, double queue_frac,
     // released and immediately regretted it. The opposite reversal
     // (escalate, then step down once the signal clears) is the ladder
     // doing its job, not flapping.
-    if (dir == 1 && last_dir_ == -1 && now - last_change_ < cfg_.flap_window) {
+    if (dir == 1 && last_dir_ == -1 && now - last_change_ < kFlapWindow) {
       ++oscillations_;
     }
     last_dir_ = dir;

@@ -40,32 +40,27 @@ enum class AdmissionDecision {
 
 const char* to_string(AdmissionDecision d);
 
-struct AdmissionConfig {
-  // Predicted-quality thresholds in layers (continuous: the analytic
-  // model's usable-share / consumption-rate score, see decide()).
-  double full_quality_layers = 2.0;  // >= this: admit at full quality
-  // Base-only admits still need 20% slack beyond one bare layer: a session
-  // whose share covers exactly C has nothing left for transport overhead
-  // and loss recovery, and lives pinned to the rebuffer threshold.
-  double min_quality_layers = 1.2;   // >= this: admit base-only; below: reject
-  // Extra quality required to re-open the gate after it rejected — the
-  // hysteresis band that prevents admit/reject flapping at the threshold.
-  double reopen_headroom_layers = 0.25;
+// Admission design values of the subjective-quality model, not deployment
+// settings. Predicted-quality thresholds are in layers (continuous: the
+// analytic model's usable-share / consumption-rate score, see decide()).
+//
+// >= this: admit base-only; below: reject. Base-only admits still need 20%
+// slack beyond one bare layer: a session whose share covers exactly C has
+// nothing left for transport overhead and loss recovery, and lives pinned
+// to the rebuffer threshold.
+inline constexpr double kMinQualityLayers = 1.2;
 
-  // Analytic-model knobs (forwarded into core::FarmLoadModel).
-  double utilization_margin = 0.85;
-  int kmax = 2;
-
-  // Retry policy for rejected clients: capped exponential backoff with
-  // deterministic seed-derived jitter.
-  TimeDelta retry_base = TimeDelta::seconds(1);
-  TimeDelta retry_cap = TimeDelta::seconds(16);
-  int max_retries = 6;
-  double retry_jitter_frac = 0.25;  // delay *= 1 + frac * U[0,1)
-};
+// Retry policy for rejected clients: capped exponential backoff with
+// deterministic seed-derived jitter.
+inline constexpr TimeDelta kRetryBase = TimeDelta::seconds(1);
+inline constexpr TimeDelta kRetryCap = TimeDelta::seconds(16);
+inline constexpr int kMaxRetries = 6;
+inline constexpr double kRetryJitterFrac = 0.25;  // delay *= 1 + frac * U[0,1)
+static_assert(kRetryBase > TimeDelta::zero());
+static_assert(kRetryCap >= kRetryBase);
 
 // Current farm load as seen at a join request; the controller fills in the
-// model constants from its config.
+// model constants.
 struct JoinRequest {
   int active_sessions = 0;      // sessions already streaming
   double bottleneck_bps = 0;    // shared bottleneck bandwidth (bytes/s)
@@ -77,7 +72,7 @@ struct JoinRequest {
 
 class AdmissionController {
  public:
-  AdmissionController(uint64_t seed, const AdmissionConfig& cfg);
+  explicit AdmissionController(uint64_t seed) : seed_(seed) {}
 
   // Decides one join request. Stateful only through the hysteresis gate
   // and counters; the quality score itself is a pure function of `req`.
@@ -94,7 +89,7 @@ class AdmissionController {
   // Backoff before retry `attempt` (0-based). Pure function of the
   // controller seed, the client id and the attempt number.
   TimeDelta retry_delay(uint64_t client_id, int attempt) const;
-  bool retry_allowed(int attempt) const { return attempt < cfg_.max_retries; }
+  bool retry_allowed(int attempt) const { return attempt < kMaxRetries; }
 
   bool gate_closed() const { return gate_closed_; }
   int64_t admitted() const { return admitted_; }
@@ -102,13 +97,10 @@ class AdmissionController {
   int64_t rejected() const { return rejected_; }
   int64_t gate_transitions() const { return gate_transitions_; }
 
-  const AdmissionConfig& config() const { return cfg_; }
-
  private:
-  AdmissionConfig cfg_;
   uint64_t seed_;
   bool shedding_ = false;
-  // Closed after a reject; reopening requires reopen_headroom_layers of
+  // Closed after a reject; reopening requires kReopenHeadroomLayers of
   // extra predicted quality.
   bool gate_closed_ = false;
   int64_t admitted_ = 0;
@@ -126,25 +118,19 @@ enum class ShedLevel {
 
 const char* to_string(ShedLevel level);
 
-struct LoadShedConfig {
-  double queue_hi = 0.85;     // bottleneck queue occupancy fraction
-  double queue_lo = 0.50;
-  double rebuffer_hi = 0.25;  // fraction of active sessions rebuffering
-  double rebuffer_lo = 0.05;
-  // Minimum time between level changes (one rung per dwell). Release is
-  // deliberately slower than grip: de-escalating early and re-escalating
-  // is exactly the oscillation the ladder must avoid.
-  TimeDelta dwell = TimeDelta::seconds(5);
-  TimeDelta dwell_down = TimeDelta::seconds(12);
-  // Re-escalating within this window of a de-escalation counts as an
-  // oscillation event (the ladder released too early and re-gripped).
-  TimeDelta flap_window = TimeDelta::seconds(10);
-};
+// Ladder design values. The rebuffer signal's high-water mark, as a
+// fraction of active sessions rebuffering:
+inline constexpr double kRebufferHi = 0.25;
+// Minimum time between level changes (one rung per dwell). Release is
+// deliberately slower than grip: de-escalating early and re-escalating
+// is exactly the oscillation the ladder must avoid.
+inline constexpr TimeDelta kDwell = TimeDelta::seconds(5);
+inline constexpr TimeDelta kDwellDown = TimeDelta::seconds(12);
+static_assert(kDwell > TimeDelta::zero());
+static_assert(kDwellDown >= kDwell);
 
 class LoadShedLadder {
  public:
-  explicit LoadShedLadder(const LoadShedConfig& cfg);
-
   // Feeds one periodic aggregate sample; returns the (possibly changed)
   // level, changing at most one rung per dwell interval. From kNormal
   // either hot signal escalates; past kFreezeAdds only the rebuffer
@@ -157,10 +143,7 @@ class LoadShedLadder {
   int64_t deescalations() const { return deescalations_; }
   int64_t oscillation_events() const { return oscillations_; }
 
-  const LoadShedConfig& config() const { return cfg_; }
-
  private:
-  LoadShedConfig cfg_;
   ShedLevel level_ = ShedLevel::kNormal;
   TimePoint last_change_ = TimePoint::origin();
   int last_dir_ = 0;  // +1 escalated, -1 de-escalated, 0 never changed

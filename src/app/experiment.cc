@@ -93,7 +93,6 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
   scfg.adapter.kmax = params.kmax;
   scfg.adapter.allocation = params.allocation;
   scfg.adapter.monotone = params.monotone;
-  scfg.adapter.playout_delay = params.playout_delay;
   scfg.cc.packet_size = params.packet_size;
   scfg.cc.initial_rate = params.layer_rate;  // start near one layer's worth
   scfg.cc.initial_rtt = params.rtt;

@@ -58,7 +58,6 @@ struct ExperimentParams {
   int kmax = 2;
   core::AllocationPolicy allocation = core::AllocationPolicy::kOptimal;
   bool monotone = true;
-  TimeDelta playout_delay = TimeDelta::seconds(1);
   int32_t packet_size = 250;
 
   // Sweep axes beyond the paper's grid (tools/qa_sweep): independent

@@ -7,8 +7,10 @@
 #include <stdexcept>
 #include <utility>
 
+#include "app/admission.h"
 #include "app/session.h"
 #include "sim/fault.h"
+#include "sim/topology.h"
 #include "util/csv.h"
 #include "util/flags.h"
 #include "util/json.h"
@@ -30,8 +32,7 @@ class Farm {
         arrival_rng_(derive_seed(params.seed, 0x61727269)),   // "arri"
         lifetime_rng_(derive_seed(params.seed, 0x6c696665)),  // "life"
         pick_rng_(derive_seed(params.seed, 0x7069636b)),      // "pick"
-        admission_(params.seed, params.admission),
-        ladder_(params.ladder),
+        admission_(params.seed),
         injector_(&net_.scheduler()) {
     QA_CHECK(params_.slots >= 1);
     QA_CHECK(params_.duration > TimeDelta::zero());
@@ -53,7 +54,6 @@ class Farm {
       topo_params.bottleneck_queue_bytes =
           std::max(bdp, int64_t{2} * params_.packet_size * params_.slots);
     }
-    if (!params_.classes.empty()) topo_params.classes = params_.classes;
     topo_ = sim::build_farm(net_, topo_params);
 
     slots_ = std::make_unique<std::optional<Session>[]>(
@@ -229,7 +229,6 @@ class Farm {
     scfg.backend = params_.backend;
     scfg.adapter.consumption_rate = params_.layer_rate.bps();
     scfg.adapter.max_layers = base_only ? 1 : params_.stream_layers;
-    scfg.adapter.playout_delay = params_.playout_delay;
     scfg.cc.packet_size = params_.packet_size;
 
     const size_t s = static_cast<size_t>(slot);
@@ -334,8 +333,14 @@ class Farm {
     if (!ewma->has_value()) {
       *ewma = inst;
     } else {
+      // Time constant of the EWMA fed to the ladder. A drop-tail
+      // bottleneck's instantaneous occupancy saw-tooths between empty and
+      // full under perfectly normal AIMD probing; only a *standing* queue —
+      // high occupancy sustained across several sawtooth periods — is an
+      // overload signal.
+      constexpr TimeDelta kQueueEwmaTau = TimeDelta::seconds(3);
       const double alpha =
-          std::min(1.0, dt / std::max(dt, params_.queue_ewma_tau.sec()));
+          std::min(1.0, dt / std::max(dt, kQueueEwmaTau.sec()));
       **ewma += alpha * (inst - **ewma);
     }
     return **ewma;
@@ -432,8 +437,8 @@ class Farm {
     // existing sessions, and for a cooldown after any eviction — admitting
     // the retry crowd right after shedding is exactly the oscillation the
     // acceptance test forbids.
-    const bool cooling =
-        shed_happened_ && now - last_shed_ < params_.shed_cooldown;
+    constexpr TimeDelta kShedCooldown = TimeDelta::seconds(20);
+    const bool cooling = shed_happened_ && now - last_shed_ < kShedCooldown;
     admission_.set_shedding(level >= ShedLevel::kBaseOnly || cooling);
 
     if (level != prev) {
@@ -478,7 +483,7 @@ class Farm {
     // harm signal is still at its high-water mark — shedding stops the
     // moment the overload visibly breaks, not when the ladder gets around
     // to de-escalating.
-    const bool still_hot = rebuffer_frac >= ladder_.config().rebuffer_hi;
+    const bool still_hot = rebuffer_frac >= kRebufferHi;
     if (level == ShedLevel::kShedSessions && still_hot && active_ > 0) {
       int newest = -1;
       uint64_t newest_seq = 0;

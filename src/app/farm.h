@@ -28,9 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "app/admission.h"
 #include "cc/congestion_controller.h"
-#include "sim/topology.h"
 #include "util/chrome_trace.h"
 #include "util/flightrec.h"
 #include "util/metrics_registry.h"
@@ -51,13 +49,11 @@ struct FarmParams {
   Rate bottleneck_bw = Rate::megabits_per_sec(8);
   TimeDelta rtt = TimeDelta::millis(40);
   int64_t bottleneck_queue_bytes = 0;  // 0 => one BDP
-  std::vector<sim::AccessClass> classes;  // empty => build_farm defaults
 
   // Stream served to every session.
   int stream_layers = 4;
   Rate layer_rate = Rate::kilobytes_per_sec(10);
   int32_t packet_size = 1000;
-  TimeDelta playout_delay = TimeDelta::seconds(1);
 
   // Churn: Poisson arrivals, exponential lifetimes.
   double arrival_rate_hz = 1.0;
@@ -75,22 +71,10 @@ struct FarmParams {
 
   // Control loops.
   bool admission_enabled = true;
-  AdmissionConfig admission;
   bool ladder_enabled = true;
-  LoadShedConfig ladder;
-  // After the ladder evicts anyone, admission stays closed this long: a
-  // farm that just shed sessions and immediately admits the retry crowd is
-  // the admit/evict oscillation the acceptance test forbids.
-  TimeDelta shed_cooldown = TimeDelta::seconds(20);
 
   // Aggregate sampling period (drives the ladder and the time series).
   TimeDelta sample_dt = TimeDelta::millis(500);
-  // Time constant of the queue-occupancy EWMA fed to the ladder. A
-  // drop-tail bottleneck's instantaneous occupancy saw-tooths between
-  // empty and full under perfectly normal AIMD probing; only a *standing*
-  // queue — high occupancy sustained across several sawtooth periods — is
-  // an overload signal.
-  TimeDelta queue_ewma_tau = TimeDelta::seconds(3);
 
   // Optional: fold per-session metrics and farm aggregates into this
   // registry (bounded: histograms shared across all sessions). Admission

@@ -13,8 +13,7 @@ Session::Session(sim::Network& net, sim::Node* server_host,
                               client_host->id(), flow_, cfg.cc))),
       ack_sink_(net.adopt_agent(
           client_host, flow_,
-          std::make_unique<cc::AckSink>(&net.scheduler(), client_host,
-                                        cfg.cc.ack_size))),
+          std::make_unique<cc::AckSink>(&net.scheduler(), client_host))),
       server_(&net.scheduler(), controller_, cfg.adapter, cfg.server),
       client_(&net.scheduler(), cfg.adapter.consumption_rate,
               cfg.adapter.max_layers, cfg.adapter.playout_delay,

@@ -6,8 +6,8 @@
 
 namespace qa::cc {
 
-AckSink::AckSink(sim::Scheduler* sched, sim::Node* local, int32_t ack_size)
-    : sched_(sched), local_(local), ack_size_(ack_size) {
+AckSink::AckSink(sim::Scheduler* sched, sim::Node* local)
+    : sched_(sched), local_(local) {
   QA_CHECK(sched_ != nullptr && local_ != nullptr);
 }
 
@@ -27,7 +27,7 @@ void AckSink::on_packet(const sim::Packet& p) {
   ack.dst = p.src;
   ack.flow_id = p.flow_id;
   ack.type = sim::PacketType::kAck;
-  ack.size_bytes = ack_size_;
+  ack.size_bytes = sim::kAckBytes;
   ack.seq = received_;      // ACK stream's own sequence
   ack.ack_seq = p.seq;      // the data packet being acknowledged
   ack.ts_sent = sched_->now();

@@ -15,7 +15,7 @@ namespace qa::cc {
 
 class AckSink : public sim::Agent {
  public:
-  AckSink(sim::Scheduler* sched, sim::Node* local, int32_t ack_size = 40);
+  AckSink(sim::Scheduler* sched, sim::Node* local);
 
   void on_packet(const sim::Packet& p) override;
 
@@ -37,7 +37,6 @@ class AckSink : public sim::Agent {
  private:
   sim::Scheduler* sched_;
   sim::Node* local_;
-  int32_t ack_size_;
   std::function<void(const sim::Packet&)> consumer_;
   JourneyRecorder* journeys_ = nullptr;
   int64_t received_ = 0;

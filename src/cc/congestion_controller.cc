@@ -8,6 +8,19 @@
 #include "util/logging.h"
 
 namespace qa::cc {
+namespace {
+// Quiescence (ACK starvation) handling, shared by all backends. The source
+// goes quiescent once at least three sends have gone unanswered AND no ACK
+// has arrived for kStarvationSrttFactor * SRTT — but never sooner than a
+// few packet gaps plus an RTO, so a healthy flow pacing at the rate floor
+// (IPG >> SRTT, every packet answered) is not mistaken for a dead path.
+// While quiescent it sends probe packets at exponentially backed-off
+// intervals (starting near the RTO, doubling up to kProbeIntervalCap); the
+// first ACK exits quiescence with a slow restart from min_rate — paced,
+// never a burst.
+constexpr double kStarvationSrttFactor = 10.0;
+constexpr TimeDelta kProbeIntervalCap = TimeDelta::seconds(2);
+}  // namespace
 
 const char* to_string(Backend b) {
   switch (b) {
@@ -87,7 +100,7 @@ TimeDelta CongestionController::starvation_threshold() const {
   // A healthy-but-slow flow hears one ACK per IPG, so silence only means a
   // dead feedback path once it spans several packet opportunities *plus* the
   // retransmission timeout; the SRTT factor dominates at normal rates.
-  return std::max(srtt_ * params_.starvation_srtt_factor,
+  return std::max(srtt_ * kStarvationSrttFactor,
                   current_ipg() * 3 + rto());
 }
 
@@ -110,7 +123,7 @@ void CongestionController::maybe_enter_quiescence() {
 
 TimeDelta CongestionController::next_probe_interval() {
   const TimeDelta gap = probe_interval_;
-  probe_interval_ = std::min(probe_interval_ * 2, params_.probe_interval_cap);
+  probe_interval_ = std::min(probe_interval_ * 2, kProbeIntervalCap);
   return gap;
 }
 

@@ -81,13 +81,8 @@ const std::vector<Backend>& all_backends();
 // Parameters shared by every backend.
 struct CcParams {
   int32_t packet_size = 1000;      // bytes, data packets
-  int32_t ack_size = 40;           // bytes
   Rate initial_rate = Rate::kilobytes_per_sec(5);
   Rate min_rate = Rate::bytes_per_sec(500);   // 1 pkt / 2 s floor
-  // Upper clamp for the self-limited backends (TFRC's equation before the
-  // first loss event, NADA's ramp-up). RAP ignores it: AIMD is limited by
-  // the loss process itself.
-  Rate max_rate = Rate::megabits_per_sec(96);
   TimeDelta initial_rtt = TimeDelta::millis(100);
   TimePoint start_time;            // when to begin transmitting
 
@@ -96,18 +91,6 @@ struct CcParams {
   // from ExperimentParams, never a literal — see the analyzer's
   // seed-plumbing rule).
   uint64_t seed = 1;
-
-  // Quiescence (ACK starvation) handling, shared by all backends. The
-  // source goes quiescent once at least three sends have gone unanswered
-  // AND no ACK has arrived for starvation_srtt_factor * SRTT — but never
-  // sooner than a few packet gaps plus an RTO, so a healthy flow pacing at
-  // the rate floor (IPG >> SRTT, every packet answered) is not mistaken
-  // for a dead path. While quiescent it sends probe packets at
-  // exponentially backed-off intervals (starting near the RTO, doubling up
-  // to probe_interval_cap); the first ACK exits quiescence with a slow
-  // restart from min_rate — paced, never a burst.
-  double starvation_srtt_factor = 10.0;
-  TimeDelta probe_interval_cap = TimeDelta::seconds(2);
 };
 
 class CongestionController : public sim::Agent {
@@ -187,8 +170,12 @@ class CongestionController : public sim::Agent {
   virtual TimeDelta step_interval() const { return srtt_; }
 
   // --- Shared helpers for backends. ----------------------------------------
+  // Upper clamp for the self-limited backends (TFRC's equation before the
+  // first loss event, NADA's ramp-up). RAP ignores it: AIMD is limited by
+  // the loss process itself.
+  static constexpr Rate kMaxRate = Rate::megabits_per_sec(96);
   // Clamps to the min-rate floor and emits on_rate_change on effective
-  // change. Backends apply their own max_rate clamp before calling.
+  // change. Backends apply their own kMaxRate clamp before calling.
   void set_rate(Rate r);
   TimeDelta current_ipg() const;
   TimeDelta rto() const;

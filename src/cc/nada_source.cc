@@ -99,7 +99,7 @@ void NadaSource::on_step() {
       target = std::max(target, old_bps + additive);
     }
   }
-  target = std::min(target, params_.max_rate.bps());
+  target = std::min(target, kMaxRate.bps());
   set_rate(Rate::bytes_per_sec(target));
 }
 

@@ -95,7 +95,7 @@ void TfrcSource::on_step() {
     target = std::min(
         target, std::max(2.0 * delivery_rate_bps_, params_.min_rate.bps()));
   }
-  target = std::min(target, params_.max_rate.bps());
+  target = std::min(target, kMaxRate.bps());
   set_rate(Rate::bytes_per_sec(target));
 }
 
@@ -121,7 +121,7 @@ void TfrcSource::on_congestion() {
   // Immediate response to the new loss event; no halving, the equation
   // already embeds the decrease.
   double target = equation_rate(loss_event_rate());
-  target = std::min(target, params_.max_rate.bps());
+  target = std::min(target, kMaxRate.bps());
   set_rate(Rate::bytes_per_sec(target));
 }
 

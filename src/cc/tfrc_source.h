@@ -21,7 +21,8 @@
 //   * before the first loss event the rate doubles once per RTT, capped
 //     by twice the observed delivery rate (slow start);
 //   * the allowed sending rate is capped at twice the delivery-rate
-//     estimate and at CcParams::max_rate, and floored at min_rate.
+//     estimate and at CongestionController::kMaxRate, and floored at
+//     min_rate.
 #pragma once
 
 #include <deque>

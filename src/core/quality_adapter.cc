@@ -8,12 +8,16 @@
 namespace qa::core {
 namespace {
 constexpr double kEps = 1e-9;
-}
+constexpr double kMinSlope = 100.0;  // floor on S estimates (bytes/s^2)
+// Time constant of the conservative rate estimate used for buffer targets
+// and the add gate: targets are evaluated at min(instantaneous, EWMA) so a
+// momentary sawtooth peak cannot shrink the protection requirements (the
+// paper's "average bandwidth" consideration, §3.1).
+constexpr TimeDelta kRateEwmaTau = TimeDelta::seconds(3);
+}  // namespace
 
 QualityAdapter::QualityAdapter(AdapterConfig cfg)
     : cfg_(cfg), receiver_(cfg.consumption_rate, cfg.max_layers) {
-  QA_CHECK(cfg_.consumption_rate > 0);
-  QA_CHECK(cfg_.max_layers >= 1);
   QA_CHECK(cfg_.kmax >= 1);
   QA_CHECK(cfg_.drain_period > TimeDelta::zero());
   // Steady state allocates nothing: the plan storage is sized up front for
@@ -33,7 +37,7 @@ void QualityAdapter::begin(TimePoint now) {
 }
 
 AimdModel QualityAdapter::model_for(double slope) const {
-  return AimdModel{cfg_.consumption_rate, std::max(slope, cfg_.min_slope)};
+  return AimdModel{cfg_.consumption_rate, std::max(slope, kMinSlope)};
 }
 
 void QualityAdapter::update_rate_avg(TimePoint now, double rate,
@@ -47,7 +51,7 @@ void QualityAdapter::update_rate_avg(TimePoint now, double rate,
   }
   const double dt = (now - rate_avg_at_).sec();
   if (dt <= 0) return;
-  const double alpha = std::min(1.0, dt / cfg_.rate_ewma_tau.sec());
+  const double alpha = std::min(1.0, dt / kRateEwmaTau.sec());
   rate_avg_ += alpha * (rate - rate_avg_);
   slope_avg_ += alpha * (slope - slope_avg_);
   rate_avg_at_ = now;

@@ -42,18 +42,12 @@ struct AdapterConfig {
   TimeDelta playout_delay = TimeDelta::seconds(1);  // client startup delay
   bool monotone = true;              // fig-10 constraint (ablation flag)
   AllocationPolicy allocation = AllocationPolicy::kOptimal;
-  double min_slope = 100.0;          // floor on S estimates (bytes/s^2)
   // Extension: keep deepening buffers for up to this many extra backoffs
   // past the Kmax requirement when no layer can be added (useful on capped
   // links — the 2.9-layer modem case; the paper instead bounds receiver
   // buffering at the Kmax requirement — footnote 2 — and the transport
   // pads or idles the excess). 0 disables.
   int surplus_ladder_depth = 0;
-  // Time constant of the conservative rate estimate used for buffer
-  // targets and the add gate: targets are evaluated at min(instantaneous,
-  // EWMA) so a momentary sawtooth peak cannot shrink the protection
-  // requirements (the paper's "average bandwidth" consideration, §3.1).
-  TimeDelta rate_ewma_tau = TimeDelta::seconds(3);
   // Minimum spacing between consecutive layer additions. A newcomer's
   // buffer state (and the rate estimate that justified it) needs time to
   // settle before the next add decision is meaningful; without spacing a
@@ -183,7 +177,7 @@ class QualityAdapter {
   // backwards while draining was built against it (§4.2).
   double rate_ref_ = 0;
 
-  // Conservative smoothed rate for target evaluation (see rate_ewma_tau).
+  // Conservative smoothed rate for target evaluation (see kRateEwmaTau).
   void update_rate_avg(TimePoint now, double rate, double slope);
   double target_rate(double rate) const;
   double smoothed_slope(double slope) const;

@@ -7,12 +7,19 @@
 
 namespace qa::core {
 
-ReceiverModel::ReceiverModel(double consumption_rate, int max_layers)
-    : consumption_rate_(consumption_rate),
-      layers_(static_cast<size_t>(max_layers)) {
-  QA_CHECK(consumption_rate_ > 0);
+namespace {
+// Checked before the member initializers size anything by it: a negative
+// count would otherwise reach std::vector as a huge size_t.
+size_t layer_count(int max_layers) {
   QA_CHECK(max_layers >= 1);
-  buf_.reserve(static_cast<size_t>(max_layers));
+  return static_cast<size_t>(max_layers);
+}
+}  // namespace
+
+ReceiverModel::ReceiverModel(double consumption_rate, int max_layers)
+    : consumption_rate_(consumption_rate), layers_(layer_count(max_layers)) {
+  QA_CHECK(consumption_rate_ > 0);
+  buf_.reserve(layers_.size());
 }
 
 void ReceiverModel::advance(TimePoint now) {

@@ -16,6 +16,9 @@ namespace qa::sim {
 using NodeId = int32_t;
 using FlowId = int32_t;
 
+// Wire size of every acknowledgment, RAP's and TCP's alike (bytes).
+inline constexpr int32_t kAckBytes = 40;
+
 enum class PacketType : uint8_t {
   kData = 0,   // payload-bearing packet (RAP data, TCP segment, CBR)
   kAck = 1,    // acknowledgment

@@ -49,7 +49,9 @@ Dumbbell build_dumbbell(Network& net, const DumbbellParams& params) {
       net.add_link(d.router_right, d.router_left, params.bottleneck_bw,
                    bneck_delay, make_bottleneck_queue(params.red_seed + 1));
 
-  const Rate access_bw = params.bottleneck_bw * params.access_bw_multiple;
+  constexpr double kAccessBwMultiple = 20.0;  // access speed vs bottleneck
+  constexpr int64_t kAccessQueueBytes = 1 << 20;
+  const Rate access_bw = params.bottleneck_bw * kAccessBwMultiple;
   std::vector<Link*> left_up, right_up;
   for (int i = 0; i < params.pairs; ++i) {
     Node* l = net.add_node(std::string("L").append(std::to_string(i)));
@@ -59,14 +61,14 @@ Dumbbell build_dumbbell(Network& net, const DumbbellParams& params) {
 
     left_up.push_back(
         net.add_link(l, d.router_left, access_bw, access_delay,
-                     std::make_unique<DropTailQueue>(params.access_queue_bytes)));
+                     std::make_unique<DropTailQueue>(kAccessQueueBytes)));
     net.add_link(d.router_left, l, access_bw, access_delay,
-                 std::make_unique<DropTailQueue>(params.access_queue_bytes));
+                 std::make_unique<DropTailQueue>(kAccessQueueBytes));
     right_up.push_back(
         net.add_link(r, d.router_right, access_bw, access_delay,
-                     std::make_unique<DropTailQueue>(params.access_queue_bytes)));
+                     std::make_unique<DropTailQueue>(kAccessQueueBytes)));
     net.add_link(d.router_right, r, access_bw, access_delay,
-                 std::make_unique<DropTailQueue>(params.access_queue_bytes));
+                 std::make_unique<DropTailQueue>(kAccessQueueBytes));
   }
 
   // Static routes beyond the direct neighbours installed by add_link:
@@ -86,7 +88,6 @@ Dumbbell build_dumbbell(Network& net, const DumbbellParams& params) {
 FarmTopo build_farm(Network& net, const FarmTopoParams& params) {
   QA_CHECK(params.slots >= 1);
   QA_CHECK(params.rtt > TimeDelta::zero());
-  QA_CHECK(!params.classes.empty());
 
   FarmTopo f;
   const size_t slots = static_cast<size_t>(params.slots);
@@ -120,10 +121,11 @@ FarmTopo build_farm(Network& net, const FarmTopoParams& params) {
       net.add_link(f.router_right, f.router_left, params.bottleneck_bw,
                    bneck_delay, std::make_unique<DropTailQueue>(queue_bytes));
 
+  constexpr int64_t kAccessQueueBytes = 1 << 18;
   const Rate fair_share = params.bottleneck_bw / static_cast<double>(params.slots);
   for (int i = 0; i < params.slots; ++i) {
-    const int cls = i % static_cast<int>(params.classes.size());
-    const AccessClass& ac = params.classes[static_cast<size_t>(cls)];
+    const int cls = i % static_cast<int>(kAccessClasses.size());
+    const AccessClass& ac = kAccessClasses[static_cast<size_t>(cls)];
     const Rate access_bw = fair_share * ac.bw_multiple;
     const TimeDelta hop_delay = access_delay + ac.extra_delay;
 
@@ -136,14 +138,14 @@ FarmTopo build_farm(Network& net, const FarmTopoParams& params) {
 
     Link* s_up = net.add_link(
         s, f.router_left, access_bw, hop_delay,
-        std::make_unique<DropTailQueue>(params.access_queue_bytes));
+        std::make_unique<DropTailQueue>(kAccessQueueBytes));
     net.add_link(f.router_left, s, access_bw, hop_delay,
-                 std::make_unique<DropTailQueue>(params.access_queue_bytes));
+                 std::make_unique<DropTailQueue>(kAccessQueueBytes));
     Link* c_up = net.add_link(
         c, f.router_right, access_bw, hop_delay,
-        std::make_unique<DropTailQueue>(params.access_queue_bytes));
+        std::make_unique<DropTailQueue>(kAccessQueueBytes));
     net.add_link(f.router_right, c, access_bw, hop_delay,
-                 std::make_unique<DropTailQueue>(params.access_queue_bytes));
+                 std::make_unique<DropTailQueue>(kAccessQueueBytes));
 
     // Pair-local routing: server i <-> client i only.
     s->add_route(c->id(), s_up);

@@ -5,6 +5,7 @@
 // fast enough never to be the bottleneck.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -17,9 +18,7 @@ struct DumbbellParams {
   int pairs = 1;                      // number of host pairs (left[i] <-> right[i])
   Rate bottleneck_bw = Rate::megabits_per_sec(8);
   TimeDelta rtt = TimeDelta::millis(40);      // end-to-end two-way propagation
-  double access_bw_multiple = 20.0;           // access speed vs bottleneck
   int64_t bottleneck_queue_bytes = 0;         // 0 => one bandwidth-delay product
-  int64_t access_queue_bytes = 1 << 20;
   // Random Early Detection on the bottleneck instead of drop-tail: a less
   // bursty loss process (sensitivity study; the paper uses drop-tail).
   bool red = false;
@@ -52,20 +51,20 @@ struct AccessClass {
   TimeDelta extra_delay = TimeDelta::zero();  // added per access hop
 };
 
+// Access heterogeneity; slot i gets kAccessClasses[i % 3]. The multiple
+// applies to bottleneck_bw / slots (the all-slots-busy fair share), so the
+// constrained class genuinely caps a session's rate.
+inline constexpr std::array<AccessClass, 3> kAccessClasses = {{
+    {40.0, TimeDelta::zero()},
+    {8.0, TimeDelta::millis(5)},
+    {2.0, TimeDelta::millis(20)},
+}};
+
 struct FarmTopoParams {
   int slots = 64;
   Rate bottleneck_bw = Rate::megabits_per_sec(8);
   TimeDelta rtt = TimeDelta::millis(40);  // base end-to-end propagation
   int64_t bottleneck_queue_bytes = 0;     // 0 => one bandwidth-delay product
-  int64_t access_queue_bytes = 1 << 18;
-  // Access heterogeneity; slot i gets classes[i % classes.size()]. The
-  // multiple applies to bottleneck_bw / slots (the all-slots-busy fair
-  // share), so the constrained class genuinely caps a session's rate.
-  std::vector<AccessClass> classes = {
-      {40.0, TimeDelta::zero()},
-      {8.0, TimeDelta::millis(5)},
-      {2.0, TimeDelta::millis(20)},
-  };
 };
 
 struct FarmTopo {

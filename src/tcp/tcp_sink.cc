@@ -4,8 +4,8 @@
 
 namespace qa::tcp {
 
-TcpSink::TcpSink(sim::Scheduler* sched, sim::Node* local, int32_t ack_size)
-    : sched_(sched), local_(local), ack_size_(ack_size) {
+TcpSink::TcpSink(sim::Scheduler* sched, sim::Node* local)
+    : sched_(sched), local_(local) {
   QA_CHECK(sched_ != nullptr && local_ != nullptr);
 }
 
@@ -31,7 +31,7 @@ void TcpSink::on_packet(const sim::Packet& p) {
   ack.dst = p.src;
   ack.flow_id = p.flow_id;
   ack.type = sim::PacketType::kAck;
-  ack.size_bytes = ack_size_;
+  ack.size_bytes = sim::kAckBytes;
   ack.ack_seq = cum_ack_;     // cumulative: next expected segment
   ack.layer_seq = p.seq;      // seq of the triggering segment (Karn check)
   ack.ts_sent = sched_->now();

@@ -11,7 +11,7 @@ namespace qa::tcp {
 
 class TcpSink : public sim::Agent {
  public:
-  TcpSink(sim::Scheduler* sched, sim::Node* local, int32_t ack_size = 40);
+  TcpSink(sim::Scheduler* sched, sim::Node* local);
 
   void on_packet(const sim::Packet& p) override;
 
@@ -22,7 +22,6 @@ class TcpSink : public sim::Agent {
  private:
   sim::Scheduler* sched_;
   sim::Node* local_;
-  int32_t ack_size_;
   int64_t cum_ack_ = 0;
   int64_t received_ = 0;
   std::set<int64_t> out_of_order_;

@@ -6,6 +6,11 @@
 #include "util/logging.h"
 
 namespace qa::tcp {
+namespace {
+constexpr double kInitialCwnd = 2.0;       // segments
+constexpr double kInitialSsthresh = 64.0;  // segments
+constexpr TimeDelta kMinRto = TimeDelta::millis(200);
+}  // namespace
 
 TcpSource::TcpSource(sim::Scheduler* sched, sim::Node* local, sim::NodeId peer,
                      sim::FlowId flow, TcpParams params)
@@ -14,8 +19,8 @@ TcpSource::TcpSource(sim::Scheduler* sched, sim::Node* local, sim::NodeId peer,
       peer_(peer),
       flow_(flow),
       params_(params),
-      cwnd_(params.initial_cwnd),
-      ssthresh_(params.initial_ssthresh),
+      cwnd_(kInitialCwnd),
+      ssthresh_(kInitialSsthresh),
       srtt_(params.initial_rtt),
       rttvar_(params.initial_rtt / 2) {}
 
@@ -153,7 +158,7 @@ void TcpSource::arm_rto() {
 
 TimeDelta TcpSource::rto() const {
   TimeDelta base = srtt_ + rttvar_ * 4;
-  base = std::max(base, params_.min_rto);
+  base = std::max(base, kMinRto);
   return base * (int64_t{1} << rto_backoff_);
 }
 

@@ -24,11 +24,7 @@ namespace qa::tcp {
 
 struct TcpParams {
   int32_t mss_bytes = 1000;
-  int32_t ack_size = 40;
-  double initial_cwnd = 2.0;        // segments
-  double initial_ssthresh = 64.0;   // segments
   TimeDelta initial_rtt = TimeDelta::millis(100);
-  TimeDelta min_rto = TimeDelta::millis(200);
   TimePoint start_time;
 };
 

@@ -73,7 +73,7 @@ TEST(QualityPrediction, MarginShrinksUsableShare) {
 }
 
 TEST(AdmissionController, ThresholdsAdmitDowngradeReject) {
-  AdmissionController ctl(7, AdmissionConfig{});
+  AdmissionController ctl(7);
   // Plenty of capacity: full admit.
   EXPECT_EQ(ctl.decide(typical_request(2)), AdmissionDecision::kAdmit);
   // Tighter: base-only band.
@@ -87,7 +87,7 @@ TEST(AdmissionController, ThresholdsAdmitDowngradeReject) {
 }
 
 TEST(AdmissionController, ScoreIsMonotoneInLoad) {
-  AdmissionController ctl(7, AdmissionConfig{});
+  AdmissionController ctl(7);
   double prev = 1e18;
   for (int active = 0; active <= 40; active += 4) {
     const double score = ctl.quality_score(typical_request(active));
@@ -97,14 +97,12 @@ TEST(AdmissionController, ScoreIsMonotoneInLoad) {
 }
 
 TEST(AdmissionController, HysteresisGateRequiresHeadroomToReopen) {
-  AdmissionConfig cfg;
-  cfg.reopen_headroom_layers = 0.5;
-  AdmissionController ctl(7, cfg);
+  AdmissionController ctl(7);
 
   // Find the marginal load: the last active count still admitted somehow.
   int reject_at = -1;
   for (int active = 0; active <= 60; ++active) {
-    if (ctl.quality_score(typical_request(active)) < cfg.min_quality_layers) {
+    if (ctl.quality_score(typical_request(active)) < kMinQualityLayers) {
       reject_at = active;
       break;
     }
@@ -124,7 +122,7 @@ TEST(AdmissionController, HysteresisGateRequiresHeadroomToReopen) {
 }
 
 TEST(AdmissionController, SheddingRejectsEverything) {
-  AdmissionController ctl(7, AdmissionConfig{});
+  AdmissionController ctl(7);
   ctl.set_shedding(true);
   EXPECT_EQ(ctl.decide(typical_request(0)), AdmissionDecision::kReject);
   ctl.set_shedding(false);
@@ -132,23 +130,22 @@ TEST(AdmissionController, SheddingRejectsEverything) {
 }
 
 TEST(AdmissionController, RetryBackoffDeterministicCappedAndJittered) {
-  AdmissionConfig cfg;
-  AdmissionController a(42, cfg);
-  AdmissionController b(42, cfg);
-  AdmissionController other(43, cfg);
+  AdmissionController a(42);
+  AdmissionController b(42);
+  AdmissionController other(43);
 
   double prev = 0;
-  for (int attempt = 0; attempt < cfg.max_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
     const TimeDelta d1 = a.retry_delay(17, attempt);
     const TimeDelta d2 = b.retry_delay(17, attempt);
     // Pure function of (seed, client, attempt).
     EXPECT_EQ(d1, d2);
     // Base * 2^attempt, capped, plus bounded positive jitter.
     const double base =
-        std::min(cfg.retry_base.sec() * static_cast<double>(1 << attempt),
-                 cfg.retry_cap.sec());
+        std::min(kRetryBase.sec() * static_cast<double>(1 << attempt),
+                 kRetryCap.sec());
     EXPECT_GE(d1.sec(), base);
-    EXPECT_LE(d1.sec(), base * (1.0 + cfg.retry_jitter_frac));
+    EXPECT_LE(d1.sec(), base * (1.0 + kRetryJitterFrac));
     EXPECT_GT(d1.sec(), prev * 0.99);  // non-collapsing schedule
     prev = d1.sec();
   }
@@ -157,12 +154,11 @@ TEST(AdmissionController, RetryBackoffDeterministicCappedAndJittered) {
   EXPECT_NE(a.retry_delay(17, 0), a.retry_delay(18, 0));
   // Attempts beyond the budget are refused.
   EXPECT_TRUE(a.retry_allowed(0));
-  EXPECT_FALSE(a.retry_allowed(cfg.max_retries));
+  EXPECT_FALSE(a.retry_allowed(kMaxRetries));
 }
 
 TEST(LoadShedLadder, EscalatesOnRebufferAndHonorsDwell) {
-  LoadShedConfig cfg;
-  LoadShedLadder ladder(cfg);
+  LoadShedLadder ladder;
   TimePoint t = TimePoint::from_sec(1);
 
   EXPECT_EQ(ladder.update(t, 0.0, 0.9), ShedLevel::kFreezeAdds);
@@ -170,50 +166,47 @@ TEST(LoadShedLadder, EscalatesOnRebufferAndHonorsDwell) {
   t = t + TimeDelta::seconds(1);
   EXPECT_EQ(ladder.update(t, 0.0, 0.9), ShedLevel::kFreezeAdds);
   // After the dwell it takes the next rung, one at a time.
-  t = t + cfg.dwell;
+  t = t + kDwell;
   EXPECT_EQ(ladder.update(t, 0.0, 0.9), ShedLevel::kBaseOnly);
-  t = t + cfg.dwell;
+  t = t + kDwell;
   EXPECT_EQ(ladder.update(t, 0.0, 0.9), ShedLevel::kShedSessions);
-  t = t + cfg.dwell;
+  t = t + kDwell;
   EXPECT_EQ(ladder.update(t, 0.0, 0.9), ShedLevel::kShedSessions);
   EXPECT_EQ(ladder.escalations(), 3);
 }
 
 TEST(LoadShedLadder, QueueAloneOnlyFreezesAdds) {
-  LoadShedConfig cfg;
-  LoadShedLadder ladder(cfg);
+  LoadShedLadder ladder;
   TimePoint t = TimePoint::from_sec(1);
   // A standing queue with zero rebuffering is normal AIMD congestion, not
   // user-visible overload: the ladder grips the gentle rung and stops.
   EXPECT_EQ(ladder.update(t, 0.99, 0.0), ShedLevel::kFreezeAdds);
   for (int i = 0; i < 10; ++i) {
-    t = t + cfg.dwell;
+    t = t + kDwell;
     EXPECT_EQ(ladder.update(t, 0.99, 0.0), ShedLevel::kFreezeAdds);
   }
 }
 
 TEST(LoadShedLadder, CleanRecoveryIsNotAnOscillation) {
-  LoadShedConfig cfg;
-  LoadShedLadder ladder(cfg);
+  LoadShedLadder ladder;
   TimePoint t = TimePoint::from_sec(1);
   ladder.update(t, 0.0, 0.9);  // up
   // Release requires both signals low AND the longer release dwell.
-  t = t + cfg.dwell;
+  t = t + kDwell;
   EXPECT_EQ(ladder.update(t, 0.0, 0.0), ShedLevel::kFreezeAdds);
-  t = t + cfg.dwell_down;
+  t = t + kDwellDown;
   EXPECT_EQ(ladder.update(t, 0.0, 0.0), ShedLevel::kNormal);
   EXPECT_EQ(ladder.oscillation_events(), 0);
 }
 
 TEST(LoadShedLadder, RegrippingRightAfterReleaseCounts) {
-  LoadShedConfig cfg;
-  LoadShedLadder ladder(cfg);
+  LoadShedLadder ladder;
   TimePoint t = TimePoint::from_sec(1);
   ladder.update(t, 0.0, 0.9);  // up
-  t = t + cfg.dwell_down + TimeDelta::seconds(1);
+  t = t + kDwellDown + TimeDelta::seconds(1);
   ladder.update(t, 0.0, 0.0);  // down
   // Hot again within the flap window of the release: oscillation.
-  t = t + cfg.dwell;
+  t = t + kDwell;
   EXPECT_EQ(ladder.update(t, 0.0, 0.9), ShedLevel::kFreezeAdds);
   EXPECT_EQ(ladder.oscillation_events(), 1);
 }

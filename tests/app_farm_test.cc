@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "app/admission.h"
+#include "sim/topology.h"
 #include "util/metrics_registry.h"
 
 namespace qa::app {
@@ -162,7 +164,7 @@ TEST(Farm, TailRowsCoverEveryAdmittedSession) {
        {"farm.tail.rebuffer_s", "farm.tail.goodput_Bps"}) {
     const double count = gauge(base + ".count");
     double class_sum = 0;
-    const size_t classes = sim::FarmTopoParams{}.classes.size();
+    const size_t classes = sim::kAccessClasses.size();
     for (size_t c = 0; c < classes; ++c) {
       class_sum += gauge(base + ".class" + std::to_string(c) + ".count");
     }

@@ -42,7 +42,6 @@ void expect_same(const ExperimentParams& a, const ExperimentParams& b) {
   EXPECT_EQ(a.kmax, b.kmax);
   EXPECT_EQ(a.allocation, b.allocation);
   EXPECT_EQ(a.monotone, b.monotone);
-  EXPECT_EQ(a.playout_delay, b.playout_delay);
   EXPECT_EQ(a.packet_size, b.packet_size);
   EXPECT_EQ(a.bottleneck_loss_rate, b.bottleneck_loss_rate);
   EXPECT_EQ(a.random_faults, b.random_faults);
@@ -60,11 +59,9 @@ void expect_same(const FarmParams& a, const FarmParams& b) {
   EXPECT_EQ(a.bottleneck_bw, b.bottleneck_bw);
   EXPECT_EQ(a.rtt, b.rtt);
   EXPECT_EQ(a.bottleneck_queue_bytes, b.bottleneck_queue_bytes);
-  EXPECT_EQ(a.classes.size(), b.classes.size());
   EXPECT_EQ(a.stream_layers, b.stream_layers);
   EXPECT_EQ(a.layer_rate, b.layer_rate);
   EXPECT_EQ(a.packet_size, b.packet_size);
-  EXPECT_EQ(a.playout_delay, b.playout_delay);
   EXPECT_EQ(a.arrival_rate_hz, b.arrival_rate_hz);
   EXPECT_EQ(a.mean_session, b.mean_session);
   EXPECT_EQ(a.flash_crowd_at, b.flash_crowd_at);
@@ -74,17 +71,8 @@ void expect_same(const FarmParams& a, const FarmParams& b) {
   EXPECT_EQ(a.outage_at, b.outage_at);
   EXPECT_EQ(a.outage, b.outage);
   EXPECT_EQ(a.admission_enabled, b.admission_enabled);
-  EXPECT_EQ(a.admission.full_quality_layers, b.admission.full_quality_layers);
-  EXPECT_EQ(a.admission.min_quality_layers, b.admission.min_quality_layers);
-  EXPECT_EQ(a.admission.kmax, b.admission.kmax);
-  EXPECT_EQ(a.admission.max_retries, b.admission.max_retries);
   EXPECT_EQ(a.ladder_enabled, b.ladder_enabled);
-  EXPECT_EQ(a.ladder.queue_hi, b.ladder.queue_hi);
-  EXPECT_EQ(a.ladder.rebuffer_hi, b.ladder.rebuffer_hi);
-  EXPECT_EQ(a.ladder.dwell, b.ladder.dwell);
-  EXPECT_EQ(a.shed_cooldown, b.shed_cooldown);
   EXPECT_EQ(a.sample_dt, b.sample_dt);
-  EXPECT_EQ(a.queue_ewma_tau, b.queue_ewma_tau);
   EXPECT_EQ(a.registry, b.registry);
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.flightrec, b.flightrec);

@@ -269,6 +269,7 @@ TEST(QualityAdapterDeathTest, RequiresBegin) {
 // and a positive consumption rate C.
 TEST(QualityAdapterDeathTest, RejectsAStreamWithoutALayerOrARate) {
   EXPECT_DEATH(QualityAdapter{make_config(2, 0)}, "max_layers >= 1");
+  EXPECT_DEATH(QualityAdapter{make_config(2, -1)}, "max_layers >= 1");
   AdapterConfig no_rate = make_config();
   no_rate.consumption_rate = 0;
   EXPECT_DEATH(QualityAdapter{no_rate}, "consumption_rate_? > 0");

@@ -4,7 +4,8 @@
 # tolerance to absorb libm variation across hosts/compilers.
 # Inputs: QA_DIFF (executable), WORK_DIR, GOLDEN (metrics.json), and the
 # scenario: either QA_TRACE (the fig-2 run; BACKEND names its congestion-
-# control backend, default rap) or QA_FARM (the farm's smoke preset).
+# control backend, default rap) or QA_FARM (the farm; PRESET names its
+# preset, default smoke).
 
 if(NOT EXISTS "${GOLDEN}")
   message(FATAL_ERROR "golden artifact missing: ${GOLDEN} "
@@ -13,14 +14,17 @@ endif()
 if(NOT BACKEND)
   set(BACKEND rap)
 endif()
+if(NOT PRESET)
+  set(PRESET smoke)
+endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 # Must match tools/update_goldens.sh exactly.
 if(QA_FARM)
-  set(scenario "farm smoke")
-  set(run ${QA_FARM} --out-dir ${WORK_DIR}/run)
+  set(scenario "farm ${PRESET}")
+  set(run ${QA_FARM} --preset ${PRESET} --out-dir ${WORK_DIR}/run)
 else()
   set(scenario "fig-2 (${BACKEND})")
   set(run ${QA_TRACE} --out-dir ${WORK_DIR}/run --backend ${BACKEND}

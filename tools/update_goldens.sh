@@ -35,9 +35,12 @@ for backend in rap tfrc nada; do
   echo "updated $root/tests/goldens/$dir/metrics.json"
 done
 
-# The farm's smoke preset (qa_farm's default); must match the farm branch
-# of tools/qa_golden_check.cmake.
-"$qa_farm" --out-dir "$work/farm_smoke" > /dev/null
-mkdir -p "$root/tests/goldens/farm_smoke"
-cp "$work/farm_smoke/metrics.json" "$root/tests/goldens/farm_smoke/metrics.json"
-echo "updated $root/tests/goldens/farm_smoke/metrics.json"
+# The farm's smoke and overload presets; must match the farm branch of
+# tools/qa_golden_check.cmake.
+for preset in smoke overload; do
+  "$qa_farm" --preset "$preset" --out-dir "$work/farm_$preset" > /dev/null
+  mkdir -p "$root/tests/goldens/farm_$preset"
+  cp "$work/farm_$preset/metrics.json" \
+      "$root/tests/goldens/farm_$preset/metrics.json"
+  echo "updated $root/tests/goldens/farm_$preset/metrics.json"
+done
